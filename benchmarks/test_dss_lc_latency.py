@@ -2,9 +2,9 @@
 
 Shape claims: decision time grows roughly linearly with the node count
 (the paper reports 1.99 ms at 500 nodes and 3.98 ms at 1000 — a clean 2×),
-and stays far below LC QoS targets.  Our absolute numbers are higher than
-the paper's because the min-cost-max-flow solver runs in pure Python rather
-than OR-Tools' C++ — see EXPERIMENTS.md.
+and stays far below LC QoS targets.  Since the per-type graph is solved in
+closed form (a numpy fill), our absolute numbers are below the paper's and a
+fixed per-call cost dominates at small node counts — see EXPERIMENTS.md.
 """
 
 from repro.experiments.dss_latency import main as dss_main

@@ -5,7 +5,7 @@
 less than 2 % of the QoS target."
 
 The harness sweeps the node count and times one full dispatch decision
-(graph construction + min-cost max-flow solve) per size.  The shape that
+(capacity terms + closed-form G_k solve + assignment) per size.  The shape that
 must hold: near-linear growth, with the 1000-node decision roughly twice
 the 500-node one and both far below the smallest LC QoS target (250 ms).
 """

@@ -1,6 +1,6 @@
-"""Min-cost max-flow substrate (stands in for OR-Tools in DSS-LC)."""
+"""Min-cost flow substrate (stands in for OR-Tools in DSS-LC)."""
 
-from .graph import AssignmentResult, SupplyDemandGraph, solve_transport
+from .graph import TransportResult, solve_transport
 from .mcmf import FlowEdge, FlowResult, MinCostMaxFlow
 from .multicommodity import (
     Commodity,
@@ -13,8 +13,7 @@ __all__ = [
     "MinCostMaxFlow",
     "FlowEdge",
     "FlowResult",
-    "SupplyDemandGraph",
-    "AssignmentResult",
+    "TransportResult",
     "solve_transport",
     "Commodity",
     "SharedLink",

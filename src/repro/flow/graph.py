@@ -1,146 +1,100 @@
-"""Helpers for building flow networks from scheduling graphs.
+"""Closed-form min-cost flow on the DSS-LC star graph.
 
-DSS-LC (§5.2) models each LC request type ``k`` as a graph ``G_k`` whose nodes
-carry a supply/demand term ``t_i^k`` (positive = pending requests at a master,
-negative = processing capacity at a worker) and whose edges carry transmission
-delay and capacity.  This module lowers such a graph to a single-commodity
-min-cost max-flow instance with a super-source/super-sink, which is exactly
-how multi-source multi-sink transportation problems are solved.
+DSS-LC (§5.2) models each LC request type ``k`` as a graph ``G_k``: the
+origin master supplies its ``pending`` requests, and every eligible worker
+is reached over a few parallel master→worker arcs whose costs rise with
+depth (a convex load cost, see :mod:`repro.scheduling.dss_lc`).  A worker's
+absorption bound covers the sum of its arcs, so no worker→sink arc ever
+binds and the min-cost flow on this star is a fill of the arcs in ascending
+cost.  :func:`solve_transport` computes that fill with numpy and returns
+exactly the flow the successive-shortest-path solver in
+:mod:`repro.flow.mcmf` finds on the lowered network (super-source → master
+→ arcs → workers → super-sink), including its choice among equal-cost arcs.
+
+Tie rule: arcs cheaper than the marginal arc (the one where the cumulative
+fill reaches ``pending``) fill completely, so order only matters inside the
+marginal equal-cost group.  SSP with Johnson potentials first takes the
+lowest-index worker of that group that carries no flow from cheaper arcs —
+its reduced Dijkstra distance is 0, while a worker already carrying flow has
+a positive one — and then the rest of the group in worker-index order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import NamedTuple
 
-from .mcmf import MinCostMaxFlow, FlowResult
+import numpy as np
 
-__all__ = ["SupplyDemandGraph", "AssignmentResult", "solve_transport"]
+__all__ = ["COST_SCALE", "TransportResult", "solve_transport"]
 
 #: Multiplier converting float delays (ms) to integer costs (µs resolution).
 COST_SCALE = 1000
 
 
-@dataclass
-class SupplyDemandGraph:
-    """A supply/demand graph in the paper's ``G_k`` form.
+class TransportResult(NamedTuple):
+    """Outcome of :func:`solve_transport`."""
 
-    Attributes
-    ----------
-    supplies:
-        ``supplies[i] > 0`` means node ``i`` has that many pending requests to
-        place (a master); ``supplies[i] < 0`` means node ``i`` can absorb
-        ``-supplies[i]`` requests (a worker).  Zero nodes are pure relays.
-    edges:
-        ``(src, dst, delay_ms, capacity)`` tuples.  Delay becomes the flow
-        cost; capacity bounds the number of requests routed over the link.
-    """
-
-    supplies: List[int] = field(default_factory=list)
-    edges: List[Tuple[int, int, float, int]] = field(default_factory=list)
+    #: requests each worker absorbs (int64, one entry per worker).
+    absorbed: np.ndarray
+    #: total integer cost, in ``1 / COST_SCALE`` ms.
+    cost: int
+    #: arcs carrying flow; equals the SSP solver's augmentation count, as
+    #: each augmentation saturates one arc or uses up the supply.
+    augmentations: int
 
     @property
-    def n_nodes(self) -> int:
-        return len(self.supplies)
+    def placed(self) -> int:
+        return int(self.absorbed.sum())
 
-    def total_demand(self) -> int:
-        return sum(s for s in self.supplies if s > 0)
-
-    def total_capacity(self) -> int:
-        return sum(-s for s in self.supplies if s < 0)
-
-
-@dataclass
-class AssignmentResult:
-    """Routing decision produced by :func:`solve_transport`.
-
-    ``routed[(i, j)]`` is the number of requests moved over edge ``(i, j)``;
-    ``absorbed[j]`` is how many requests node ``j`` ends up processing
-    (including requests that originate locally when ``allow_local`` is set).
-    """
-
-    routed: Dict[Tuple[int, int], int]
-    absorbed: Dict[int, int]
-    placed: int
-    total_delay_ms: float
+    @property
+    def total_delay_ms(self) -> float:
+        return self.cost / COST_SCALE
 
 
 def solve_transport(
-    graph: SupplyDemandGraph,
-    *,
-    local_processing: bool = True,
-    arena: Optional[MinCostMaxFlow] = None,
-    reuse_potentials: bool = False,
-) -> AssignmentResult:
-    """Route supply to demand at minimum total transmission delay.
+    pending: int, arc_caps: np.ndarray, arc_delay_ms: np.ndarray
+) -> TransportResult:
+    """Route ``pending`` requests over a star at minimum total delay.
 
-    A super-source connects to every positive-supply node and every
-    negative-supply node connects to a super-sink.  When ``local_processing``
-    is true, a node that both holds pending requests and has capacity may
-    process its own requests at zero delay (the common case for a
-    master+worker edge-cloud).
-
-    ``arena`` reuses a caller-held :class:`MinCostMaxFlow` instance (its
-    network is rebuilt in place), avoiding per-call solver allocation on the
-    dispatch hot path.  ``reuse_potentials`` is forwarded to the solver; see
-    :meth:`MinCostMaxFlow.solve` for why it defaults to off.
+    ``arc_caps`` and ``arc_delay_ms`` are ``(workers, arcs)`` arrays: row
+    ``i`` holds the parallel master→worker ``i`` arcs, in strictly rising
+    cost (so a worker's first arc of positive capacity is its cheapest).
+    Costs are ``max(0, round(delay * COST_SCALE))``; zero-capacity arcs are
+    absent from the network.
     """
-    n = graph.n_nodes
-    if n == 0:
-        return AssignmentResult({}, {}, 0, 0.0)
-    source = n
-    sink = n + 1
-    if arena is None:
-        net = MinCostMaxFlow(n + 2)
-    else:
-        net = arena
-        net.rebuild(n + 2)
-
-    # Stage all arcs and hand them to the solver in one bulk call (same
-    # order, hence bit-identical arrays, as per-arc add_edge calls).
-    supply_edge: Dict[int, int] = {}
-    demand_edge: Dict[int, int] = {}
-    staged: List[Tuple[int, int, int, int]] = []
-    idx = 0
-    for i, s in enumerate(graph.supplies):
-        if s > 0:
-            supply_edge[i] = idx
-            staged.append((source, i, s, 0))
-            idx += 1
-        elif s < 0:
-            demand_edge[i] = idx
-            staged.append((i, sink, -s, 0))
-            idx += 1
-
-    transit_edges: List[Tuple[int, Tuple[int, int]]] = []
-    for src, dst, delay_ms, capacity in graph.edges:
-        if capacity <= 0:
-            continue
-        cost = max(0, int(round(delay_ms * COST_SCALE)))
-        transit_edges.append((idx, (src, dst)))
-        staged.append((src, dst, int(capacity), cost))
-        idx += 1
-    net.add_edges(staged)
-
-    result: FlowResult = net.solve(
-        source, sink, reuse_potentials=reuse_potentials
+    caps = np.asarray(arc_caps, dtype=np.int64)
+    flat_caps = caps.ravel()
+    live = np.flatnonzero(flat_caps)
+    rows = live // caps.shape[1]
+    live_caps = flat_caps[live]
+    costs = np.rint(np.ravel(arc_delay_ms)[live] * COST_SCALE)
+    costs = np.maximum(costs, 0).astype(np.int64)
+    order = np.argsort(costs, kind="stable")
+    fill = live_caps[order]
+    costs = costs[order]
+    cum = np.cumsum(fill)
+    if cum.size and cum[-1] > pending:
+        level = costs[np.searchsorted(cum, pending)]
+        lo, hi = np.searchsorted(costs, (level, level + 1))
+        # the lowest-index worker whose first arc sits in the marginal
+        # group has no flow yet, so SSP takes it ahead of the group; a live
+        # arc is its worker's first when the live arc before it is not
+        arcs = order[lo:hi]
+        untouched = np.flatnonzero((arcs == 0) | (rows[arcs - 1] != rows[arcs]))
+        if untouched.size:
+            lead = lo + int(untouched[0])
+            for arr in (order, fill):  # move the lead arc to the front
+                arr[lo : lead + 1] = arr[lead], *arr[lo:lead]
+        group = fill[lo:hi]
+        left = pending - (cum[lo - 1] if lo else 0)
+        fill = fill[:hi]
+        before = np.cumsum(group) - group
+        fill[lo:] = np.minimum(group, np.maximum(0, left - before))
+    absorbed = np.bincount(
+        rows[order[: fill.size]], weights=fill, minlength=caps.shape[0]
     )
-
-    routed: Dict[Tuple[int, int], int] = {}
-    for idx, key in transit_edges:
-        f = result.edge_flows[idx]
-        if f > 0:
-            routed[key] = routed.get(key, 0) + f
-
-    absorbed: Dict[int, int] = {}
-    for j, idx in demand_edge.items():
-        f = result.edge_flows[idx]
-        if f > 0:
-            absorbed[j] = f
-
-    return AssignmentResult(
-        routed=routed,
-        absorbed=absorbed,
-        placed=result.flow,
-        total_delay_ms=result.cost / COST_SCALE,
+    return TransportResult(
+        absorbed=absorbed.astype(np.int64),
+        cost=int(fill @ costs[: fill.size]),
+        augmentations=int(np.count_nonzero(fill)),
     )

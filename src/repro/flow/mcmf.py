@@ -1,23 +1,19 @@
-"""Min-cost max-flow solver — the substrate that replaces OR-Tools in DSS-LC.
+"""Min-cost max-flow solver — the general substrate standing in for OR-Tools.
 
 The paper solves the Multi-Commodity Network Flow formulation of LC request
 scheduling (§5.2) with Google OR-Tools.  OR-Tools is not available offline, so
 we implement an integral min-cost max-flow solver from scratch using the
 successive-shortest-path (SSP) algorithm with Johnson potentials: an initial
-Bellman-Ford pass handles arbitrary (non-negative in our usage) costs, and all
-subsequent augmentations run Dijkstra on reduced costs, which keeps the solver
-fast enough for the 1000-node graphs in §7.2.
+Bellman-Ford pass handles arbitrary costs, and all subsequent augmentations
+run Dijkstra on reduced costs.
 
-The solver operates on integer capacities and integer (scaled) costs.  DSS-LC
-scales float transmission delays to integer microsecond costs before calling
-into this module.
+The solver operates on integer capacities and integer (scaled) costs.  It
+serves the joint multi-commodity solve in :mod:`repro.flow.multicommodity`;
+the per-type DSS-LC graph is a star and is solved in closed form by
+:mod:`repro.flow.graph`, which reproduces this solver's flow exactly.
 
 Storage is flat parallel arrays (src/dst/capacity/cost/flow per arc) rather
-than per-arc objects: a dispatch round builds thousands of short-lived arcs,
-and array slots are far cheaper to allocate and to walk in the Dijkstra inner
-loop.  The arrays double as an arena — :meth:`MinCostMaxFlow.rebuild` clears
-the network in place so DSS-LC can keep one solver per (master, request-type)
-and refill capacities each tick instead of re-allocating the object graph.
+than per-arc objects, which are cheaper to walk in the Dijkstra inner loop.
 """
 
 from __future__ import annotations
@@ -68,10 +64,6 @@ class MinCostMaxFlow:
 
     Negative costs are accepted (a single Bellman-Ford pass initialises the
     potentials); negative *cycles* are not supported and will raise.
-
-    The instance is reusable as an arena: :meth:`reset` zeroes flows while
-    keeping the topology (re-solve the same network), and :meth:`rebuild`
-    clears everything for a new network while keeping the allocated storage.
     """
 
     def __init__(self, n_nodes: int) -> None:
@@ -87,15 +79,11 @@ class MinCostMaxFlow:
         self._flow: List[int] = []
         self._adj: List[List[int]] = [[] for _ in range(n_nodes)]
         self._has_negative_cost = False
-        #: feasible potentials from the last solve (warm-start candidate).
-        self._last_potential: Optional[List[float]] = None
-        # cumulative counters (survive rebuild; read by solver_stats)
-        self.solves = 0
+        #: cumulative shortest-path augmentations over all solves.
         self.augmentations = 0
-        self.warm_starts = 0
 
     # ------------------------------------------------------------------ #
-    # construction / arena reuse
+    # construction
     # ------------------------------------------------------------------ #
     def add_edge(self, src: int, dst: int, capacity: int, cost: int) -> int:
         """Add a forward arc and its residual twin; return the forward index.
@@ -121,65 +109,6 @@ class MinCostMaxFlow:
         self._adj[dst].append(base + 1)
         return base // 2
 
-    def add_edges(self, edges) -> int:
-        """Bulk :meth:`add_edge`; returns the first forward index added.
-
-        Semantically identical to calling ``add_edge`` per tuple in order —
-        the hot dispatch path uses it to amortise per-call overhead when a
-        transport graph contributes dozens of arcs at once.
-        """
-        src_l, dst_l = self._src, self._dst
-        cap_l, cost_l, flow_l = self._cap, self._cost, self._flow
-        adj, n = self._adj, self.n
-        first = len(src_l) // 2
-        base = len(src_l)
-        for src, dst, capacity, cost in edges:
-            if not 0 <= src < n:
-                raise ValueError(f"node {src} outside [0, {n})")
-            if not 0 <= dst < n:
-                raise ValueError(f"node {dst} outside [0, {n})")
-            if capacity < 0:
-                raise ValueError(f"negative capacity {capacity}")
-            cost = int(cost)
-            if cost < 0:
-                self._has_negative_cost = True
-            src_l.extend((src, dst))
-            dst_l.extend((dst, src))
-            cap_l.extend((int(capacity), 0))
-            cost_l.extend((cost, -cost))
-            flow_l.extend((0, 0))
-            adj[src].append(base)
-            adj[dst].append(base + 1)
-            base += 2
-        return first
-
-    def reset(self) -> None:
-        """Zero all flows, keeping the network; the next solve starts fresh.
-
-        The last solve's potentials are kept as a warm-start candidate —
-        they are feasibility-checked against the restored residual arcs
-        before any reuse, so stale potentials only cost a cold start.
-        """
-        self._flow = [0] * len(self._flow)
-
-    def rebuild(self, n_nodes: int) -> None:
-        """Clear the network for a new topology, reusing allocated storage."""
-        if n_nodes <= 0:
-            raise ValueError("flow network needs at least one node")
-        self._src.clear()
-        self._dst.clear()
-        self._cap.clear()
-        self._cost.clear()
-        self._flow.clear()
-        if n_nodes == self.n:
-            for bucket in self._adj:
-                bucket.clear()
-        else:
-            self.n = n_nodes
-            self._adj = [[] for _ in range(n_nodes)]
-            self._last_potential = None
-        self._has_negative_cost = False
-
     def _check_node(self, node: int) -> None:
         if not 0 <= node < self.n:
             raise ValueError(f"node {node} outside [0, {self.n})")
@@ -196,32 +125,14 @@ class MinCostMaxFlow:
         source: int,
         sink: int,
         max_flow: Optional[int] = None,
-        *,
-        reuse_potentials: bool = False,
     ) -> FlowResult:
-        """Push up to ``max_flow`` units (default: maximum) at minimum cost.
-
-        ``reuse_potentials`` warm-starts the Johnson potentials from the
-        previous solve on this instance when they are still feasible for the
-        current costs (checked in O(E); infeasible potentials fall back to a
-        cold start).  Warm starts preserve the optimal flow value and cost
-        but may tie-break equal-cost paths differently, so the option is
-        **off by default** — the simulation keeps bit-identical dispatch
-        decisions unless a caller explicitly opts in.
-        """
+        """Push up to ``max_flow`` units (default: maximum) at minimum cost."""
         self._check_node(source)
         self._check_node(sink)
         if source == sink:
             raise ValueError("source and sink must differ")
         limit = _INF if max_flow is None else int(max_flow)
-        self.solves += 1
-
-        potential = None
-        if reuse_potentials and self._potentials_feasible(self._last_potential):
-            potential = list(self._last_potential)  # type: ignore[arg-type]
-            self.warm_starts += 1
-        if potential is None:
-            potential = self._initial_potentials(source)
+        potential = self._initial_potentials(source)
         total_flow = 0
         total_cost = 0
 
@@ -253,7 +164,6 @@ class MinCostMaxFlow:
                 v = src[idx]
             total_flow += push
 
-        self._last_potential = potential
         edge_flows = [
             f if f > 0 else 0 for f in flow[::2]
         ]
@@ -262,19 +172,6 @@ class MinCostMaxFlow:
     # ------------------------------------------------------------------ #
     # internals
     # ------------------------------------------------------------------ #
-    def _potentials_feasible(self, potential: Optional[List[float]]) -> bool:
-        """True if every residual arc has non-negative reduced cost."""
-        if potential is None or len(potential) != self.n:
-            return False
-        cap, cost, flow = self._cap, self._cost, self._flow
-        src, dst = self._src, self._dst
-        for idx in range(len(src)):
-            if cap[idx] - flow[idx] <= 0:
-                continue
-            if cost[idx] + potential[src[idx]] - potential[dst[idx]] < -1e-9:
-                return False
-        return True
-
     def _initial_potentials(self, source: int) -> List[float]:
         if not self._has_negative_cost:
             return [0.0] * self.n
@@ -327,7 +224,7 @@ class MinCostMaxFlow:
         return dist, parent_edge
 
     # ------------------------------------------------------------------ #
-    # introspection (used by tests and by DSS-LC result extraction)
+    # introspection (used by tests)
     # ------------------------------------------------------------------ #
     def edge(self, public_index: int) -> FlowEdge:
         """Return the forward edge for a public index from :meth:`add_edge`."""

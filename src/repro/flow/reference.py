@@ -4,12 +4,13 @@ Two independent re-implementations live here, deliberately written for
 clarity over speed:
 
 * :class:`ReferenceMCMF` — a textbook Bellman-Ford successive-shortest-paths
-  min-cost max-flow.  No potentials, no arena reuse, no warm starts: every
-  augmentation re-runs Bellman-Ford on the residual network.  It is the
-  oracle the property tests (and the runtime invariant checker's dispatch
-  audit) compare the pooled flat-array solver in :mod:`repro.flow.mcmf`
-  against — equal max-flow value and equal minimum cost on any graph the
-  production path can produce.
+  min-cost max-flow.  No potentials: every augmentation re-runs
+  Bellman-Ford on the residual network.  It is the oracle the property
+  tests compare the flat-array solver in :mod:`repro.flow.mcmf` and the
+  closed-form star solve in :mod:`repro.flow.graph` against — equal
+  max-flow value and equal minimum cost on any graph the production path
+  can produce.  It takes equal-cost paths in plain arc order, so where
+  the optimum is not unique its split can differ from theirs.
 
 * :func:`eq2_capacities_scalar` / :func:`node_units_scalar` — plain-Python
   re-statements of the vectorized Eq. 2 capacity math in

@@ -11,7 +11,8 @@ Each master runs this algorithm on its own LC queue every tick, making
    re-assurance mechanism when HRM is active;
 3. **case 1** (demand ≤ capacity): a single graph ``G_k`` is built over
    available resources and solved as a min-cost max-flow (transmission delay
-   as cost) — our solver stands in for the paper's OR-Tools call;
+   as cost) — ``G_k`` is a star, so the exact closed-form fill in
+   :mod:`repro.flow.graph` stands in for the paper's OR-Tools call;
 4. **case 2** (demand > capacity): the random sorting function ρ(·) splits
    the queue into ``R_k`` (placed immediately, as case 1) and ``R'_k``
    (queued), and a second graph ``Ĝ'_k`` distributes the queued remainder
@@ -31,8 +32,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.state_storage import NodeSnapshot, SystemSnapshot
-from repro.flow.graph import AssignmentResult, SupplyDemandGraph, solve_transport
-from repro.flow.mcmf import MinCostMaxFlow
+from repro.flow.graph import solve_transport
 from repro.hrm.reassurance import ReassuranceMechanism
 from repro.obs.emitter import NULL_EMITTER
 from repro.sim.request import ServiceRequest
@@ -46,7 +46,32 @@ __all__ = [
     "DSSLCScheduler",
     "DispatchAuditRecord",
     "augmented_capacities",
+    "slice_capacities",
 ]
+
+#: queueing-delay surcharge of each capacity slice of a worker in ``G_k``.
+#: Each deeper slice pays more (a convex load cost), so the min-cost flow
+#: spreads across nodes instead of filling the closest one to the brim.
+#: (§5.2.2 notes richer traffic-engineering terms slot in here.)
+SLICE_SURCHARGES_MS = np.array([0.0, 6.0, 18.0])
+_SLICE_INDEX = np.arange(len(SLICE_SURCHARGES_MS))
+
+
+def slice_capacities(
+    capacities: Sequence[int], pending: int, link_capacity: int
+) -> np.ndarray:
+    """``(workers, 3)`` capacities of each worker's master→worker arcs.
+
+    A worker's usable capacity — its Eq. 2 bound, capped by the link
+    capacity c_{i,j} of Eq. 4 and by the pending count — is split into
+    slices of ``ceil(usable / 3)``, the last taking the remainder.
+    """
+    usable = np.minimum(
+        np.maximum(np.asarray(capacities, dtype=np.int64), 0),
+        min(link_capacity, pending),
+    )[:, None]
+    size = (usable + 2) // 3
+    return np.minimum(size, np.maximum(usable - size * _SLICE_INDEX, 0))
 
 
 def augmented_capacities(
@@ -122,11 +147,6 @@ class DSSLCConfig:
     #: the ρ(·) case-2 priority policy: random (paper default), fifo,
     #: deadline, or tier (§5.2.2: "can be changed as required").
     priority: str = "random"
-    #: warm-start each pooled solver's Johnson potentials from its previous
-    #: solve.  Off by default: warm starts can change Dijkstra tie-breaks
-    #: among equal-delay workers, so runs are no longer bit-identical to the
-    #: cold-start schedule (flow cost is unchanged).
-    reuse_potentials: bool = False
     #: solve all request types jointly over shared link capacities (the
     #: full multi-commodity formulation) instead of the paper's per-type
     #: "in parallel" graphs.  Costs one sequential MCMF pass per type but
@@ -167,10 +187,9 @@ class DSSLCScheduler:
         self.emitter = NULL_EMITTER
         #: MCMF objective accumulated across the current round's solves.
         self._flow_cost_round = 0.0
-        #: one solver arena per (origin master, request type): graph shape
-        #: is stable across ticks for a given pair, so the flat flow arrays
-        #: are recycled instead of reallocated every dispatch round.
-        self._arenas: Dict[Tuple[int, str], MinCostMaxFlow] = {}
+        #: G_k solves and their (SSP-equivalent) augmentations, cumulative.
+        self._solves = 0
+        self._augmentations = 0
         #: per-type minima cache: (service, id(nodes)) -> (nodes ref,
         #: reassurance version, r_cpu, r_mem).  Each master queries its own
         #: eligible-node list, so the list identity is part of the key; the
@@ -264,7 +283,7 @@ class DSSLCScheduler:
     ) -> List[Assignment]:
         spec = requests[0].spec
         r_cpu, r_mem = self._per_request_minima(spec, nodes)
-        cpu_ava, mem_ava, cpu_tot, mem_tot, lc_q = self._node_arrays(nodes)
+        cpu_ava, mem_ava, cpu_tot, mem_tot, lc_q, _ = self._node_arrays(nodes)
 
         # |t_i^k| of Eq. 2, with two practical corrections: the node is only
         # filled to ``target_fill`` of its total (past that every co-located
@@ -280,12 +299,12 @@ class DSSLCScheduler:
         total_capacity = int(capacities.sum())
 
         if pending <= total_capacity:
-            placed = self._solve_and_assign(
+            placed, counts = self._solve_and_assign(
                 origin_cluster, requests, nodes, capacities, snapshot
             )
             if self.audit_log is not None:
                 self._record_audit(
-                    spec, nodes, r_cpu, r_mem, placed, [], 0
+                    spec, nodes, r_cpu, r_mem, counts, np.zeros_like(counts), 0
                 )
             return placed
 
@@ -297,13 +316,12 @@ class DSSLCScheduler:
         )
         immediate = ordered[:total_capacity]
         queued = ordered[total_capacity:]
-        assignments = self._solve_and_assign(
+        assignments, placed_now = self._solve_and_assign(
             origin_cluster, immediate, nodes, capacities, snapshot
         )
-        immediate_assignments = list(assignments)
 
         queued = queued[: self.config.max_queue_push]
-        queued_assignments: List[Assignment] = []
+        queued_counts = np.zeros_like(placed_now)
         if queued:
             total_units = np.minimum(
                 cpu_tot / r_cpu, mem_tot / r_mem
@@ -313,26 +331,17 @@ class DSSLCScheduler:
             # already queued at each node consume capacity units, so both
             # are deducted before the λ scaling of Eqs. 7-8 (counting the
             # raw totals twice over-assigned busy nodes).
-            placed_now = np.zeros(len(nodes), dtype=np.int64)
-            index_of = {n.name: i for i, n in enumerate(nodes)}
-            for a in immediate_assignments:
-                placed_now[index_of[a.node_name]] += 1
             adjusted = np.maximum(0, total_units - placed_now - lc_q)
             aug_caps = self._augmented_capacities(
                 [int(u) for u in adjusted], len(queued)
             )
-            queued_assignments = self._solve_and_assign(
+            queued_assignments, queued_counts = self._solve_and_assign(
                 origin_cluster, queued, nodes, aug_caps, snapshot
             )
             assignments.extend(queued_assignments)
         if self.audit_log is not None:
             self._record_audit(
-                spec,
-                nodes,
-                r_cpu,
-                r_mem,
-                immediate_assignments,
-                queued_assignments,
+                spec, nodes, r_cpu, r_mem, placed_now, queued_counts,
                 len(queued),
             )
         return assignments
@@ -343,17 +352,10 @@ class DSSLCScheduler:
         nodes: List[NodeSnapshot],
         r_cpu,
         r_mem,
-        immediate: List[Assignment],
-        queued: List[Assignment],
+        immediate_counts: np.ndarray,
+        queued_counts: np.ndarray,
         n_queued: int,
     ) -> None:
-        index_of = {n.name: i for i, n in enumerate(nodes)}
-        immediate_counts = [0] * len(nodes)
-        for a in immediate:
-            immediate_counts[index_of[a.node_name]] += 1
-        queued_counts = [0] * len(nodes)
-        for a in queued:
-            queued_counts[index_of[a.node_name]] += 1
         self.audit_log.append(
             DispatchAuditRecord(
                 service=spec.name,
@@ -366,8 +368,8 @@ class DSSLCScheduler:
                 r_cpu=[float(x) for x in r_cpu],
                 r_mem=[float(x) for x in r_mem],
                 target_fill=self.config.target_fill,
-                immediate_counts=immediate_counts,
-                queued_counts=queued_counts,
+                immediate_counts=immediate_counts.tolist(),
+                queued_counts=queued_counts.tolist(),
                 n_queued=n_queued,
             )
         )
@@ -466,7 +468,7 @@ class DSSLCScheduler:
                 assignments.extend(
                     self._solve_and_assign(
                         origin_cluster, leftover, nodes, aug_caps, snapshot
-                    )
+                    )[0]
                 )
         return assignments
 
@@ -520,6 +522,7 @@ class DSSLCScheduler:
             np.array([n.cpu_total for n in nodes]),
             np.array([n.mem_total for n in nodes]),
             np.array([n.lc_queue for n in nodes], dtype=np.int64),
+            np.array([n.cluster_id for n in nodes], dtype=np.intp),
         )
         if len(self._node_array_cache) > 64:
             self._node_array_cache.clear()
@@ -547,48 +550,37 @@ class DSSLCScheduler:
         origin_cluster: int,
         requests: List[ServiceRequest],
         nodes: List[NodeSnapshot],
-        capacities: List[int],
+        capacities: Sequence[int],
         snapshot: SystemSnapshot,
-    ) -> List[Assignment]:
+    ) -> Tuple[List[Assignment], np.ndarray]:
+        """Solve G_k for ``requests``; return assignments and per-node counts.
+
+        The origin master supplies ``len(requests)``; each node is reached
+        over the slices of :func:`slice_capacities`, each costing the
+        master→node delay plus the slice's surcharge.
+        """
         if not requests:
-            return []
-        arena_key = (origin_cluster, requests[0].spec.name)
-        arena = self._arenas.get(arena_key)
-        if arena is None:
-            arena = self._arenas[arena_key] = MinCostMaxFlow(len(nodes) + 3)
-        graph = SupplyDemandGraph()
-        # node 0 is the origin master (supply); 1..N are workers (demand)
-        graph.supplies = [len(requests)] + [-c for c in capacities]
-        for i, node in enumerate(nodes):
-            delay = snapshot.delay_ms[origin_cluster][node.cluster_id]
-            cap = min(self.config.link_capacity, len(requests))
-            # Convex load cost: each deeper slice of a node's capacity pays a
-            # growing queueing-delay surcharge, so the min-cost flow spreads
-            # across nodes instead of filling the closest one to the brim.
-            # (§5.2.2 notes richer traffic-engineering terms slot in here.)
-            remaining = min(cap, capacities[i])
-            slice_size = max(1, (remaining + 2) // 3)
-            for depth, surcharge in enumerate((0.0, 6.0, 18.0)):
-                take = min(slice_size, remaining)
-                if take <= 0:
-                    break
-                graph.edges.append((0, 1 + i, delay + surcharge, take))
-                remaining -= take
-        result: AssignmentResult = solve_transport(
-            graph,
-            arena=arena,
-            reuse_potentials=self.config.reuse_potentials,
+            return [], np.zeros(len(nodes), dtype=np.int64)
+        *_, cluster_ids = self._node_arrays(nodes)
+        delay_row = snapshot.delay_ms[origin_cluster]
+        delays = np.asarray(delay_row)[cluster_ids]
+        result = solve_transport(
+            len(requests),
+            slice_capacities(
+                capacities, len(requests), self.config.link_capacity
+            ),
+            delays[:, None] + SLICE_SURCHARGES_MS,
         )
+        self._solves += 1
+        self._augmentations += result.augmentations
         self._flow_cost_round += result.total_delay_ms
 
         assignments: List[Assignment] = []
         cursor = 0
-        for j, count in sorted(result.absorbed.items()):
-            node = nodes[j - 1]
-            delay = snapshot.delay_ms[origin_cluster][node.cluster_id]
-            for _ in range(count):
-                if cursor >= len(requests):
-                    break
+        for j in np.flatnonzero(result.absorbed).tolist():
+            node = nodes[j]
+            delay = delay_row[node.cluster_id]
+            for _ in range(int(result.absorbed[j])):
                 assignments.append(
                     Assignment(
                         request=requests[cursor],
@@ -598,7 +590,7 @@ class DSSLCScheduler:
                     )
                 )
                 cursor += 1
-        return assignments
+        return assignments, result.absorbed
 
     # ------------------------------------------------------------------ #
     # introspection
@@ -612,9 +604,9 @@ class DSSLCScheduler:
     # Checkpointable
     # ------------------------------------------------------------------ #
     def snapshot_state(self) -> Dict:
-        """RNG positions and counters.  Solver arenas and the id()-keyed
-        snapshot caches are pure accelerators (self-invalidating via ``is``
-        checks) and are rebuilt, not restored."""
+        """RNG positions and counters.  The id()-keyed snapshot caches are
+        pure accelerators (self-invalidating via ``is`` checks) and are
+        rebuilt, not restored."""
         return {
             "rng": self.rng.bit_generator.state,
             # one stream per master; stateless policies contribute nothing
@@ -642,14 +634,10 @@ class DSSLCScheduler:
         self._node_array_cache.clear()
 
     def solver_stats(self) -> Dict[str, float]:
-        """Aggregate counters across all pooled solver arenas."""
+        """Cumulative G_k solve counters."""
         return {
-            "arenas": len(self._arenas),
-            "solves": sum(a.solves for a in self._arenas.values()),
-            "augmentations": sum(
-                a.augmentations for a in self._arenas.values()
-            ),
-            "warm_starts": sum(a.warm_starts for a in self._arenas.values()),
+            "solves": self._solves,
+            "augmentations": self._augmentations,
             "case2_rounds": self.case2_rounds,
             "mean_decision_latency_ms": round(
                 self.mean_decision_latency_ms(), 4

@@ -194,11 +194,11 @@ class ThreadShardExecutor(ShardExecutor):
 class ProcessShardExecutor(ShardExecutor):
     """One single-process pool per shard slot (fork when available).
 
-    Payload *i* always lands in process *i*, so each worker's cached
-    scheduler keeps its solver arenas warm across ticks — a shared pool
-    would scatter a shard's ticks over arbitrary processes and rebuild
-    the arenas every time.  Payload functions must be module-level and
-    payloads picklable.
+    Payload *i* always lands in process *i*, so each worker reuses one
+    cached scheduler clone across ticks — a shared pool would scatter a
+    shard's ticks over arbitrary processes and rebuild the clone every
+    time.  Payload functions must be module-level and payloads
+    picklable.
     """
 
     backend = "process"
@@ -327,9 +327,9 @@ class _ShardResult:
 
 
 #: per-thread (and therefore per-process, in a process pool) scheduler
-#: clone, kept warm across ticks so solver arenas are recycled exactly as
-#: the serial scheduler recycles them.  Thread-local because the thread
-#: backend runs :func:`run_lc_shard` concurrently in one process.
+#: clone, kept across ticks as the serial scheduler is.  Thread-local
+#: because the thread backend runs :func:`run_lc_shard` concurrently in
+#: one process.
 _worker_state = threading.local()
 
 
@@ -353,8 +353,8 @@ def run_lc_shard(payload: _ShardPayload) -> _ShardResult:
     """Worker entry: run Alg. 2 for every master in the shard, in order.
 
     Runs on a per-worker scheduler clone built from the shipped config
-    (solver arenas and caches are pure accelerators, kept warm across
-    ticks; the only sequential state is the per-master ρ(·) stream, which
+    (its caches are pure accelerators, kept across ticks; the only
+    sequential state is the per-master ρ(·) stream, which
     is installed from and returned to the parent).  Module-level so a
     process pool can pickle it.
     """

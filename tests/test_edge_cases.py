@@ -2,10 +2,11 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.cluster.resources import ResourceVector
-from repro.flow.graph import COST_SCALE, SupplyDemandGraph, solve_transport
+from repro.flow.graph import solve_transport
 from repro.kube.scheduler import NodeView
 from repro.workloads.spec import ServiceKind, default_catalog
 
@@ -19,26 +20,18 @@ class TestFlowRounding:
     def test_sub_microsecond_delays_do_not_vanish(self):
         """Delays round at µs resolution; distinct ms-scale delays stay
         distinct after scaling."""
-        graph = SupplyDemandGraph()
-        graph.supplies = [1, -1, -1]
-        graph.edges = [(0, 1, 0.001, 10), (0, 2, 0.002, 10)]
-        result = solve_transport(graph)
-        assert result.absorbed == {1: 1}  # the cheaper edge wins
+        result = solve_transport(1, np.array([[10], [10]]), np.array([[0.001], [0.002]]))
+        assert result.absorbed.tolist() == [1, 0]  # the cheaper arc wins
 
     def test_negative_delay_clamped_to_zero_cost(self):
-        graph = SupplyDemandGraph()
-        graph.supplies = [1, -1]
-        graph.edges = [(0, 1, -5.0, 10)]
-        result = solve_transport(graph)
+        result = solve_transport(1, np.array([[10]]), np.array([[-5.0]]))
         assert result.placed == 1
         assert result.total_delay_ms == 0.0
 
     def test_zero_capacity_edges_skipped(self):
-        graph = SupplyDemandGraph()
-        graph.supplies = [2, -2, -2]
-        graph.edges = [(0, 1, 1.0, 0), (0, 2, 9.0, 10)]
-        result = solve_transport(graph)
-        assert result.absorbed == {2: 2}
+        result = solve_transport(2, np.array([[0], [10]]), np.array([[1.0], [9.0]]))
+        assert result.absorbed.tolist() == [0, 2]
+        assert result.augmentations == 1
 
 
 class TestNodeViewClamping:

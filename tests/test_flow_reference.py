@@ -1,11 +1,14 @@
 """Differential tests against the reference oracles in repro.flow.reference.
 
-Two production hot paths get an obviously-correct shadow here:
+Three production hot paths get an obviously-correct shadow here:
 
-* the pooled flat-array SSP+Johnson solver (:class:`MinCostMaxFlow`) vs the
+* the flat-array SSP+Johnson solver (:class:`MinCostMaxFlow`) vs the
   textbook Bellman-Ford reference (:class:`ReferenceMCMF`) on randomized
   graphs — equal max-flow value, equal minimum cost, and both sides
   feasible (capacities respected, flow conserved);
+* the closed-form star fill DSS-LC solves ``G_k`` with
+  (:func:`solve_transport`) vs both solvers on the lowered network, on
+  DSS-LC stars where equal costs are common;
 * the vectorized Eq. 2 capacity expression in DSS-LC vs its scalar
   re-statement (:func:`eq2_capacities_scalar`) across dtypes and edge
   values.
@@ -17,12 +20,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.flow.graph import COST_SCALE, solve_transport
 from repro.flow.mcmf import MinCostMaxFlow
 from repro.flow.reference import (
     ReferenceMCMF,
     eq2_capacities_scalar,
     node_units_scalar,
 )
+from repro.scheduling.dss_lc import SLICE_SURCHARGES_MS, slice_capacities
 
 
 # ---------------------------------------------------------------------- #
@@ -134,6 +139,143 @@ class TestReferenceSolver:
             net.add_edge(0, 1, -1, 1)
         with pytest.raises(ValueError):
             net.solve(0, 0)
+
+
+# ---------------------------------------------------------------------- #
+# closed-form DSS-LC star vs the lowered network
+# ---------------------------------------------------------------------- #
+@st.composite
+def dss_lc_stars(draw):
+    """(pending, capacities, delays, link_capacity) of a DSS-LC ``G_k``.
+
+    Workers share a few cluster delays drawn 6/12/18 ms apart (the slice
+    surcharges), so equal arc costs — within and across workers' slices —
+    are the common case, not the exception.
+    """
+    n = draw(st.integers(min_value=1, max_value=8))
+    base = draw(st.sampled_from([0.0, 0.0025, 0.5, 1.0, 2.5]))
+    clusters = draw(
+        st.lists(
+            st.sampled_from([0.0, 6.0, 12.0, 18.0, 24.0]), min_size=1, max_size=3
+        )
+    )
+    delays = [base + draw(st.sampled_from(clusters)) for _ in range(n)]
+    capacities = [draw(st.integers(min_value=0, max_value=12)) for _ in range(n)]
+    pending = draw(st.integers(min_value=1, max_value=30))
+    link = draw(st.integers(min_value=1, max_value=40))
+    return pending, capacities, delays, link
+
+
+def _star_arcs(pending, capacities, delays, link):
+    caps = slice_capacities(capacities, pending, link)
+    return caps, np.array(delays)[:, None] + SLICE_SURCHARGES_MS
+
+
+def _lowered_star(solver_cls, pending, capacities, delays, link):
+    """Build G_k one arc at a time and solve it on a general network.
+
+    Returns (absorbed, cost, net).  Nodes: master 0, workers 1..n,
+    super-source n+1, super-sink n+2.  The source arc, then the
+    worker→sink arcs (bounded by the worker's Eq. 2 capacity), then each
+    worker's convex slices, cut with the scalar loop and priced with
+    scalar ``round``.
+    """
+    n = len(capacities)
+    source, sink = n + 1, n + 2
+    net = solver_cls(n + 3)
+    net.add_edge(source, 0, pending, 0)
+    for i, c in enumerate(capacities):
+        if c > 0:
+            net.add_edge(1 + i, sink, c, 0)
+    arcs = []
+    for i, delay in enumerate(delays):
+        remaining = min(link, pending, capacities[i])
+        slice_size = max(1, (remaining + 2) // 3)
+        for surcharge in (0.0, 6.0, 18.0):
+            take = min(slice_size, remaining)
+            if take <= 0:
+                break
+            cost = max(0, int(round((delay + surcharge) * COST_SCALE)))
+            arcs.append((net.add_edge(0, 1 + i, take, cost), i))
+            remaining -= take
+    result = net.solve(source, sink)
+    absorbed = [0] * n
+    for edge, i in arcs:
+        absorbed[i] += result.edge_flows[edge]
+    return absorbed, result.cost, net
+
+
+def _marginal_tie(caps, arc_delays, pending):
+    """True if the marginal cost level holds more arcs than it fills fully."""
+    costs = np.maximum(0, np.rint(arc_delays * COST_SCALE))[caps > 0]
+    live_caps = caps[caps > 0]
+    order = np.argsort(costs, kind="stable")
+    cum = np.cumsum(live_caps[order])
+    if not cum.size or cum[-1] <= pending:
+        return False
+    level = costs[order][np.searchsorted(cum, pending)]
+    at_level = costs == level
+    below = live_caps[costs < level].sum()
+    return at_level.sum() > 1 and below + live_caps[at_level].sum() > pending
+
+
+class TestClosedFormStar:
+    @settings(max_examples=300, deadline=None)
+    @given(dss_lc_stars())
+    def test_matches_ssp_solver(self, star):
+        pending, capacities, delays, link = star
+        caps, arc_delays = _star_arcs(pending, capacities, delays, link)
+        ours = solve_transport(pending, caps, arc_delays)
+        absorbed, cost, net = _lowered_star(
+            MinCostMaxFlow, pending, capacities, delays, link
+        )
+        assert ours.absorbed.tolist() == absorbed
+        assert ours.cost == cost
+        assert ours.augmentations == net.augmentations
+
+    @settings(max_examples=150, deadline=None)
+    @given(dss_lc_stars())
+    def test_matches_reference_cost(self, star):
+        pending, capacities, delays, link = star
+        caps, arc_delays = _star_arcs(pending, capacities, delays, link)
+        ours = solve_transport(pending, caps, arc_delays)
+        absorbed, cost, _ = _lowered_star(
+            ReferenceMCMF, pending, capacities, delays, link
+        )
+        assert ours.cost == cost
+        assert ours.placed == sum(absorbed) == min(pending, int(caps.sum()))
+        # Bellman-Ford takes equal-cost arcs in plain arc order, so the
+        # split may differ only where the optimum itself is not unique
+        if not _marginal_tie(caps, arc_delays, pending):
+            assert ours.absorbed.tolist() == absorbed
+
+    def test_untouched_worker_takes_marginal_tie_first(self):
+        """Pending 2, capacities [2, 1], delays [1, 7] ms.
+
+        Worker 0's second slice (1 + 6 ms) ties worker 1's first (7 ms).
+        SSP takes the worker without flow first, so each absorbs one; a
+        plain stable (cost, arc-index) fill would give [2, 0].
+        """
+        caps, arc_delays = _star_arcs(2, [2, 1], [1.0, 7.0], 64)
+        ours = solve_transport(2, caps, arc_delays)
+        assert ours.absorbed.tolist() == [1, 1]
+        assert (ours.cost, ours.augmentations) == (8000, 2)
+        absorbed, cost, net = _lowered_star(
+            MinCostMaxFlow, 2, [2, 1], [1.0, 7.0], 64
+        )
+        assert (absorbed, cost, net.augmentations) == ([1, 1], 8000, 2)
+
+    def test_reference_breaks_the_same_tie_in_arc_order(self):
+        absorbed, cost, _ = _lowered_star(ReferenceMCMF, 2, [2, 1], [1.0, 7.0], 64)
+        assert (absorbed, cost) == ([2, 0], 8000)
+
+    def test_slice_capacities(self):
+        caps = slice_capacities([0, 1, 2, 7, 100], 50, 64)
+        assert caps.tolist() == [
+            [0, 0, 0], [1, 0, 0], [1, 1, 0], [3, 3, 1], [17, 17, 16]
+        ]
+        # the link capacity c_ij bounds a worker's arcs in total
+        assert slice_capacities([100], 50, 4).tolist() == [[2, 2, 0]]
 
 
 # ---------------------------------------------------------------------- #

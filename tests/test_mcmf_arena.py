@@ -1,16 +1,11 @@
-"""Arena-reuse and golden-value tests for the pooled MCMF solver.
+"""Golden-value tests for the flat-array MCMF solver.
 
 Complements ``test_mcmf.py`` (hypothesis-vs-networkx) with pinned golden
 networks — including negative-cost and zero-capacity arcs — and with the
-reuse API the DSS-LC arena pool depends on: ``reset()`` re-solves the same
-network identically, ``rebuild()`` makes a recycled instance behave exactly
-like a fresh one, and warm-started potentials preserve flow and cost.
+read view of the solver's arc arrays.
 """
 
 from __future__ import annotations
-
-import numpy as np
-import pytest
 
 from repro.flow.mcmf import MinCostMaxFlow
 
@@ -73,63 +68,8 @@ class TestGolden:
         assert res.cost == 5  # the two cheapest units
 
 
-def random_network(rng: np.random.Generator, n: int):
-    """Random DAG-ish network as (n, edge list) with occasional 0-caps."""
-    edges = []
-    for _ in range(int(rng.integers(n, 3 * n))):
-        u = int(rng.integers(0, n - 1))
-        v = int(rng.integers(u + 1, n))
-        cap = int(rng.integers(0, 6))
-        cost = int(rng.integers(0, 20))
-        edges.append((u, v, cap, cost))
-    return edges
-
-
 class TestArenaReuse:
-    def test_reset_resolves_identically(self):
-        net = MinCostMaxFlow(4)
-        build_diamond(net)
-        first = net.solve(0, 3)
-        net.reset()
-        second = net.solve(0, 3)
-        assert (first.flow, first.cost) == (second.flow, second.cost)
-        assert first.edge_flows == second.edge_flows
-
-    @pytest.mark.parametrize("seed", range(8))
-    def test_rebuild_matches_fresh_solver(self, seed):
-        rng = np.random.default_rng(seed)
-        arena = MinCostMaxFlow(3)
-        build_diamond(MinCostMaxFlow(4))  # unrelated network, ignored
-        # dirty the arena with a first network + solve
-        arena.rebuild(4)
-        build_diamond(arena)
-        arena.solve(0, 3)
-        for round_ in range(4):
-            n = int(rng.integers(3, 9))
-            edges = random_network(rng, n)
-            fresh = MinCostMaxFlow(n)
-            arena.rebuild(n)
-            for u, v, cap, cost in edges:
-                assert fresh.add_edge(u, v, cap, cost) == arena.add_edge(
-                    u, v, cap, cost
-                )
-            res_fresh = fresh.solve(0, n - 1)
-            res_arena = arena.solve(0, n - 1)
-            assert res_fresh.flow == res_arena.flow
-            assert res_fresh.cost == res_arena.cost
-            assert res_fresh.edge_flows == res_arena.edge_flows
-
-    def test_counters_survive_rebuild(self):
-        net = MinCostMaxFlow(4)
-        build_diamond(net)
-        net.solve(0, 3)
-        solves_before = net.solves
-        assert solves_before == 1
-        net.rebuild(4)
-        build_diamond(net)
-        net.solve(0, 3)
-        assert net.solves == solves_before + 1
-        assert net.augmentations > 0
+    """Read views of a solved network's arc arrays."""
 
     def test_edge_view_reflects_arrays(self):
         net = MinCostMaxFlow(4)
@@ -139,55 +79,3 @@ class TestArenaReuse:
         assert (e.src, e.dst, e.capacity, e.cost) == (0, 1, 2, 1)
         assert e.flow == 2
         assert e.residual == 0
-
-
-class TestWarmStart:
-    @pytest.mark.parametrize("seed", range(8))
-    def test_warm_start_preserves_flow_and_cost(self, seed):
-        """Re-solving with reuse_potentials never changes flow or cost.
-
-        Whether the reuse actually engages depends on feasibility — arcs
-        saturated by the first solve rejoin the residual network after
-        ``reset()`` and can make the old potentials infeasible, in which
-        case the solver must fall back to a cold start, not a wrong one.
-        """
-        rng = np.random.default_rng(100 + seed)
-        n = int(rng.integers(4, 9))
-        edges = random_network(rng, n)
-        cold = MinCostMaxFlow(n)
-        warm = MinCostMaxFlow(n)
-        for u, v, cap, cost in edges:
-            cold.add_edge(u, v, cap, cost)
-            warm.add_edge(u, v, cap, cost)
-        res_cold = cold.solve(0, n - 1)
-        warm.solve(0, n - 1)  # populate _last_potential
-        warm.reset()
-        res_warm = warm.solve(0, n - 1, reuse_potentials=True)
-        assert res_warm.flow == res_cold.flow
-        assert res_warm.cost == res_cold.cost
-
-    def test_warm_start_engages_on_unsaturated_network(self):
-        """A solve that saturates nothing leaves reusable potentials."""
-        net = MinCostMaxFlow(3)
-        net.add_edge(0, 1, 5, 2)
-        net.add_edge(1, 2, 5, 3)
-        first = net.solve(0, 2, max_flow=2)  # below the bottleneck
-        assert first.flow == 2
-        net.reset()
-        second = net.solve(0, 2, max_flow=2, reuse_potentials=True)
-        assert net.warm_starts == 1
-        assert (second.flow, second.cost) == (first.flow, first.cost)
-        assert second.edge_flows == first.edge_flows
-
-    def test_infeasible_potentials_fall_back(self):
-        net = MinCostMaxFlow(4)
-        build_diamond(net)
-        net.solve(0, 3)
-        # new network with a negative cost the old potentials can't cover
-        net.rebuild(4)
-        net.add_edge(0, 1, 2, 10)
-        net.add_edge(1, 3, 2, -8)
-        res = net.solve(0, 3, reuse_potentials=True)
-        assert res.flow == 2
-        assert res.cost == 4
-        assert net.warm_starts == 0

@@ -1,6 +1,6 @@
 """Determinism pin for the hot-path performance layer.
 
-The snapshot index, active-set stepping, pooled MCMF arenas, batched
+The snapshot index, active-set stepping, the closed-form G_k solve, batched
 GraphSAGE sampling, and memoized latency model are all required to leave
 scheduling outcomes *bit-identical* — same seeds, same RunMetrics.  The
 fingerprints in ``tests/data/seed_metrics.json`` were recorded against the

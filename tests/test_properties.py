@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cluster.resources import ResourceVector
-from repro.flow.graph import SupplyDemandGraph, solve_transport
+from repro.flow.graph import solve_transport
 from repro.hrm.qos import QoSDetector
 from repro.hrm.reassurance import ReassuranceConfig, ReassuranceMechanism
 from repro.kube.cgroups import CFS_PERIOD_US, CGroupError, CGroupTree
@@ -114,11 +114,9 @@ class TestTransportOptimality:
             data.draw(st.floats(min_value=0.5, max_value=50.0))
             for _ in caps
         ]
-        graph = SupplyDemandGraph()
-        graph.supplies = [pending] + [-c for c in caps]
-        for i, d in enumerate(delays):
-            graph.edges.append((0, 1 + i, d, 1000))
-        result = solve_transport(graph)
+        result = solve_transport(
+            pending, np.array(caps).reshape(-1, 1), np.array(delays).reshape(-1, 1)
+        )
 
         # greedy fill in increasing-delay order is optimal for a star
         order = np.argsort(delays)
