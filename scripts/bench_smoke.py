@@ -5,16 +5,11 @@ checked-in ``BENCH_PR1.json``, and exits non-zero when throughput dropped
 more than the tolerance.  On success the JSON is rewritten in place with
 the fresh "after" measurement (the recorded "before" baseline is kept).
 
-Also runs two parity gates, each reporting mismatches as a readable
-per-field diff table (``repro.metrics.fingerprint``), never a bare
-assert:
-
-* invariant gate — one small workload twice, with and without
-  ``check_invariants``: zero violations, bit-identical fingerprints
-  (the checker observes, it never steers);
-* shard gate — the same workload serial vs sharded across 2 shards:
-  bit-identical fingerprints, with both wall times recorded into the
-  benchmark JSON under ``"sharded"``.
+Also runs an invariant gate: one small workload twice, with and without
+``check_invariants``, expecting zero violations and bit-identical
+fingerprints (the checker observes, it never steers).  A mismatch is
+reported as a readable per-field diff table
+(``repro.metrics.fingerprint``), never a bare assert.
 
 Usage::
 
@@ -27,7 +22,6 @@ import argparse
 import json
 import os
 import sys
-import time
 
 sys.path.insert(
     0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
@@ -46,8 +40,8 @@ BENCH_PATH = os.path.normpath(
 GATE_DURATION_MS = 6_000.0
 
 
-def _gate_run(check_invariants: bool = False, shards: int = 0):
-    """One small-workload run for the parity gates."""
+def _gate_run(check_invariants: bool):
+    """One small-workload run for the invariant gate."""
     from repro.cluster.topology import TopologyConfig
     from repro.core.config import TangoConfig
     from repro.core.tango import TangoSystem
@@ -62,27 +56,15 @@ def _gate_run(check_invariants: bool = False, shards: int = 0):
         runner=RunnerConfig(
             duration_ms=GATE_DURATION_MS,
             check_invariants=check_invariants,
-            shards=shards,
-            parallel_backend="serial",
         ),
     )
-    system = TangoSystem(config)
-    start = time.perf_counter()
-    metrics = system.run(trace)
-    wall_s = time.perf_counter() - start
-    system.last_runner.close()
-    return metrics, wall_s
-
-
-def _parity_fail(what: str, want: dict, got: dict, labels) -> None:
-    print(f"FAIL: {what}", file=sys.stderr)
-    print(format_fingerprint_diff(want, got, labels=labels), file=sys.stderr)
+    return TangoSystem(config).run(trace)
 
 
 def invariant_gate() -> int:
     """Checker on vs off: zero violations, bit-identical fingerprints."""
-    off, _ = _gate_run(check_invariants=False)
-    on, _ = _gate_run(check_invariants=True)
+    off = _gate_run(check_invariants=False)
+    on = _gate_run(check_invariants=True)
     status = 0
     if on.invariant_violations:
         print(
@@ -93,12 +75,16 @@ def invariant_gate() -> int:
         status = 1
     fp_off, fp_on = metrics_fingerprint(off), metrics_fingerprint(on)
     if fp_on != fp_off:
-        _parity_fail(
-            "invariant checker changed the run fingerprint — the checker "
-            "must observe, never steer",
-            fp_off,
-            fp_on,
-            labels=("checker-off", "checker-on"),
+        print(
+            "FAIL: invariant checker changed the run fingerprint — the "
+            "checker must observe, never steer",
+            file=sys.stderr,
+        )
+        print(
+            format_fingerprint_diff(
+                fp_off, fp_on, labels=("checker-off", "checker-on")
+            ),
+            file=sys.stderr,
         )
         status = 1
     if status == 0:
@@ -107,34 +93,6 @@ def invariant_gate() -> int:
             "bit-identical"
         )
     return status
-
-
-def shard_gate() -> "tuple[int, dict]":
-    """Serial vs 2-shard run: bit-identical fingerprints, timings kept."""
-    serial, serial_wall = _gate_run()
-    sharded, sharded_wall = _gate_run(shards=2)
-    timings = {
-        "shards": 2,
-        "backend": "serial",
-        "serial_wall_s": round(serial_wall, 3),
-        "sharded_wall_s": round(sharded_wall, 3),
-    }
-    fp_serial = metrics_fingerprint(serial)
-    fp_sharded = metrics_fingerprint(sharded)
-    if fp_sharded != fp_serial:
-        _parity_fail(
-            "sharded run diverged from serial — the merge barrier must "
-            "be deterministic",
-            fp_serial,
-            fp_sharded,
-            labels=("serial", "sharded"),
-        )
-        return 1, timings
-    print(
-        f"shard gate: serial/sharded fingerprints bit-identical "
-        f"({timings['serial_wall_s']}s vs {timings['sharded_wall_s']}s wall)"
-    )
-    return 0, timings
 
 
 def main() -> int:
@@ -175,9 +133,6 @@ def main() -> int:
         )
         status = 1
     status |= invariant_gate()
-    shard_status, shard_timings = shard_gate()
-    status |= shard_status
-    result["sharded"] = shard_timings
     before = None
     if recorded is not None:
         before = recorded.get("before")

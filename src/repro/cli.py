@@ -151,16 +151,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--json", action="store_true",
         help="print the full benchmark result as JSON on stdout",
     )
-    bench.add_argument(
-        "--shards", type=int, default=0,
-        help="run the multi-cluster scale benchmark serial AND sharded "
-        "across N shards; reports fingerprint parity, measured wall "
-        "speedup, and the critical-path modeled speedup",
-    )
-    bench.add_argument(
-        "--backend", choices=["process", "thread", "serial"],
-        default="process", help="pool flavor for the sharded run",
-    )
 
     trace = sub.add_parser(
         "trace", help="run with observability on and dump span traces"
@@ -212,17 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
     resume.add_argument("checkpoint", help="checkpoint file written by "
                         "`repro checkpoint`")
     resume.add_argument("--out", help="write metrics JSON here")
-    resume.add_argument(
-        "--shards", type=int, default=None,
-        help="resume under this shard count (default: the checkpoint's); "
-        "a checkpoint taken under N shards resumes under any M with "
-        "bit-identical metrics",
-    )
-    resume.add_argument(
-        "--parallel-backend", choices=["process", "thread", "serial"],
-        default=None,
-        help="resume under this pool flavor (default: the checkpoint's)",
-    )
     return parser
 
 
@@ -236,17 +215,6 @@ def _common_run_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--lc-rps", type=float, default=30.0)
     parser.add_argument("--be-rps", type=float, default=8.0)
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument(
-        "--shards", type=int, default=0,
-        help="partition clusters into N shards and run the per-cluster "
-        "tick work on a worker pool (0 = serial); metrics are "
-        "bit-identical either way",
-    )
-    parser.add_argument(
-        "--parallel-backend", choices=["process", "thread", "serial"],
-        default="process",
-        help="worker-pool flavor used when --shards > 0",
-    )
 
 
 def _build_system(
@@ -270,8 +238,6 @@ def _build_system(
             failures=failures,
             check_invariants=getattr(args, "check_invariants", False),
             invariant_mode=getattr(args, "invariant_mode", "strict"),
-            shards=getattr(args, "shards", 0),
-            parallel_backend=getattr(args, "parallel_backend", "process"),
         ),
     )
     return TangoSystem(config)
@@ -343,52 +309,13 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 def _cmd_bench(args: argparse.Namespace) -> int:
     import json
 
-    from repro.perf.bench import run_bench, run_shard_bench, write_bench_json
+    from repro.perf.bench import run_bench, write_bench_json
 
     overrides = {}
     if args.duration is not None:
         overrides["duration_ms"] = args.duration * 1000.0
     if args.clusters is not None:
         overrides["clusters"] = args.clusters
-    if args.shards > 0:
-        result = run_shard_bench(
-            args.shards, backend=args.backend, overrides=overrides or None
-        )
-        if args.json:
-            print(json.dumps(result, indent=2, sort_keys=True))
-        else:
-            wl = result["workload"]
-            modeled = result["modeled"]
-            print(
-                f"scale bench: {wl['clusters']} clusters, "
-                f"{result['shards']} shards ({result['backend']}), "
-                f"{result['cores']} core(s) visible"
-            )
-            print(
-                "fingerprints: "
-                + ("MATCH (serial == sharded)"
-                   if result["fingerprints_match"] else "MISMATCH")
-            )
-            print(
-                f"serial  {result['serial']['wall_s']:8.2f}s wall "
-                f"(lc stage {modeled['lc_serial_s']:.2f}s)"
-            )
-            print(
-                f"sharded {result['sharded']['wall_s']:8.2f}s wall "
-                f"-> measured wall speedup {result['wall_speedup']:.2f}x"
-            )
-            print(
-                f"modeled {modeled['modeled_wall_s']:8.2f}s wall "
-                f"(lc critical path {modeled['lc_critical_path_s']:.2f}s, "
-                f"overhead {modeled['shard_overhead_s']:.2f}s) "
-                f"-> parallel speedup {modeled['speedup']:.2f}x"
-            )
-        if args.out:
-            with open(args.out, "w") as fh:
-                json.dump(result, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-            print(f"\nshard benchmark written to {args.out}")
-        return 0 if result["fingerprints_match"] else 1
     result = run_bench(overrides or None, profile=True)
     if args.json:
         print(json.dumps(result, indent=2, sort_keys=True))
@@ -455,8 +382,6 @@ def _cmd_checkpoint(args: argparse.Namespace) -> int:
         lc_rps=args.lc_rps,
         be_rps=args.be_rps,
         seed=args.seed,
-        shards=args.shards,
-        parallel_backend=args.parallel_backend,
     )
     path = save_checkpoint(checkpoint, args.out)
     print(
@@ -488,16 +413,6 @@ def _cmd_resume(args: argparse.Namespace) -> int:
         lc_rps=meta["lc_rps"],
         be_rps=meta["be_rps"],
         seed=meta["seed"],
-        # sharding restructures execution only, so a resume may use any
-        # shard count/backend — default to what the checkpoint recorded.
-        shards=(
-            meta.get("shards", 0) if args.shards is None else args.shards
-        ),
-        parallel_backend=(
-            meta.get("parallel_backend", "process")
-            if args.parallel_backend is None
-            else args.parallel_backend
-        ),
     )
     system = _build_system(meta["stack"], build)
     trace = _build_trace(build)

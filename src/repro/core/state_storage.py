@@ -129,41 +129,9 @@ class StateStorage:
         ):
             return self._snapshot
         self._last_refresh_ms = now_ms
-        nodes = self._collect(list(self.system.all_workers()), now_ms)
-        return self._assemble(now_ms, nodes)
-
-    def refresh_partitioned(
-        self, now_ms: float, worker_groups, executor, *, force: bool = False
-    ) -> SystemSnapshot:
-        """Sharded refresh: collect per-group snapshots via ``executor``
-        (an object with ``run_tasks(fn, payloads)`` returning results in
-        payload order), then assemble.
-
-        ``worker_groups`` must concatenate, in order, to the
-        ``all_workers()`` order, so the assembled node list is identical
-        to a serial :meth:`refresh`.  Group collection is thread-safe:
-        the per-worker cache is keyed by node name and the QoS detector's
-        expire-on-read touches per-``(node, service)`` state only, so
-        concurrent groups never write the same key.
-        """
-        if (
-            not force
-            and self._snapshot is not None
-            and now_ms - self._last_refresh_ms < self.refresh_period_ms
-        ):
-            return self._snapshot
-        self._last_refresh_ms = now_ms
-        groups = executor.run_tasks(
-            lambda workers: self._collect(workers, now_ms),
-            [group for group in worker_groups if group],
-        )
-        nodes = [snap for group in groups for snap in group]
-        return self._assemble(now_ms, nodes)
-
-    def _collect(self, workers, now_ms: float) -> List[NodeSnapshot]:
         nodes: List[NodeSnapshot] = []
         cache = self._node_cache
-        for worker in workers:
+        for worker in self.system.all_workers():
             if self.node_filter is not None and not self.node_filter(
                 worker.name, worker.cluster_id
             ):
@@ -174,11 +142,6 @@ class StateStorage:
                 cache[worker.name] = snap
                 worker.snapshot_dirty = False
             nodes.append(snap)
-        return nodes
-
-    def _assemble(
-        self, now_ms: float, nodes: List[NodeSnapshot]
-    ) -> SystemSnapshot:
         n = self.system.n_clusters
         if self._delay_cache is None or len(self._delay_cache) != n:
             self._delay_cache = [

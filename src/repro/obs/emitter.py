@@ -58,7 +58,6 @@ __all__ = [
     "NullEmitter",
     "DirectEmitter",
     "BusEmitter",
-    "BufferingEmitter",
     "NULL_EMITTER",
 ]
 
@@ -196,42 +195,6 @@ class DirectEmitter(NullEmitter):
     ) -> None:
         if cause == "preemption":
             self.collector.on_eviction(request)
-
-
-class BufferingEmitter:
-    """Records emissions for deferred replay — the sharded merge barrier.
-
-    Shard workers step nodes concurrently, but their managers must not
-    write to the run's collector/bus mid-step or event order would depend
-    on worker completion order.  A worker swaps a buffer in as the
-    manager's emitter around each ``node.step``; the merge barrier replays
-    the buffered calls on the real emitter in the canonical node order, so
-    the observable event stream is identical to the serial interleaving.
-
-    Any emitter method is accepted (recorded as ``(name, args, kwargs)``);
-    ``enabled`` mirrors the target emitter so publishers that keep side
-    state only when observed behave exactly as they would live.
-    """
-
-    def __init__(self, enabled: bool = False) -> None:
-        self.enabled = enabled
-        self.calls: list = []
-
-    def __getattr__(self, name: str):
-        if name.startswith("_"):
-            raise AttributeError(name)
-        calls = self.calls
-
-        def record(*args: Any, **kwargs: Any) -> None:
-            calls.append((name, args, kwargs))
-
-        return record
-
-    def replay(self, target) -> None:
-        """Re-issue every buffered call against ``target``, then clear."""
-        for name, args, kwargs in self.calls:
-            getattr(target, name)(*args, **kwargs)
-        self.calls.clear()
 
 
 class BusEmitter(NullEmitter):

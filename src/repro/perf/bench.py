@@ -3,31 +3,16 @@
 One fixed configuration — 10 clusters, heterogeneous worker counts (3-20 per
 cluster), 10 s of simulated time, seeded trace at 60 LC / 15 BE rps — so the
 numbers in ``BENCH_PR1.json`` are comparable run-over-run and PR-over-PR.
-
-``python -m repro bench --shards N`` instead runs :data:`SCALE_WORKLOAD`
-(many clusters, LC-heavy — the per-master dispatch dominates, which is the
-work sharding parallelizes) twice — serial and sharded — checks the two
-RunMetrics fingerprints are bit-identical, and reports both the measured
-wall speedup and the critical-path *modeled* speedup derived from
-worker-side CPU times (meaningful even on core-starved CI boxes, where
-wall time only measures contention; see :func:`run_shard_bench`).
 """
 
 from __future__ import annotations
 
 import json
-import os
 import platform
 import time
 from typing import Any, Dict, Optional
 
-__all__ = [
-    "STANDARD_WORKLOAD",
-    "SCALE_WORKLOAD",
-    "run_bench",
-    "run_shard_bench",
-    "write_bench_json",
-]
+__all__ = ["STANDARD_WORKLOAD", "run_bench", "write_bench_json"]
 
 #: the standard 10-cluster workload (matches the seed-baseline measurement).
 STANDARD_WORKLOAD: Dict[str, Any] = {
@@ -40,37 +25,11 @@ STANDARD_WORKLOAD: Dict[str, Any] = {
     "stack": "tango",
 }
 
-#: the multi-cluster scale workload for ``bench --shards``: many masters,
-#: LC-heavy (BE is centralized by design and does not shard), so the
-#: embarrassingly-parallel per-master DSS-LC dominates the tick.
-SCALE_WORKLOAD: Dict[str, Any] = {
-    "clusters": 32,
-    "workers_per_cluster": 3,
-    "duration_ms": 5_000.0,
-    "seed": 11,
-    "lc_peak_rps": 140.0,
-    "be_peak_rps": 0.5,
-    "stack": "tango",
-    # Coarser ticks than the 25 ms default: per-master LC batches grow
-    # (MCMF work per solve grows superlinearly with batch and graph size)
-    # while per-tick stepping overhead shrinks, so the stage sharding
-    # targets the dominant cost.  tick_ms is part of the workload
-    # identity — the serial and sharded legs must agree on it.
-    "tick_ms": 250.0,
-    # Geo-wide LC dispatch: with the locality radius covering the whole
-    # region every master's MCMF graph spans all 96 workers, which is
-    # exactly the regime where the per-master solves dwarf the
-    # centralized remainder of the tick.
-    "nearby_radius_km": 2_400.0,
-}
-
 
 def run_bench(
     overrides: Optional[Dict[str, Any]] = None,
     *,
     profile: bool = True,
-    shards: int = 0,
-    backend: str = "process",
 ) -> Dict[str, Any]:
     """Run the benchmark workload; returns a result dict (see keys below)."""
     from repro.cluster.topology import TopologyConfig
@@ -104,23 +63,8 @@ def run_bench(
             n_clusters=wl["clusters"],
             workers_per_cluster=wl["workers_per_cluster"],
             seed=wl["seed"],
-            **(
-                {"nearby_radius_km": wl["nearby_radius_km"]}
-                if wl.get("nearby_radius_km") is not None
-                else {}
-            ),
         ),
-        runner=RunnerConfig(
-            duration_ms=wl["duration_ms"],
-            profile=profile,
-            shards=shards,
-            parallel_backend=backend,
-            **(
-                {"tick_ms": wl["tick_ms"]}
-                if wl.get("tick_ms") is not None
-                else {}
-            ),
-        ),
+        runner=RunnerConfig(duration_ms=wl["duration_ms"], profile=profile),
     )
     system = TangoSystem(config)
     n_workers = system.system.total_nodes()
@@ -153,80 +97,7 @@ def run_bench(
     from repro.metrics.fingerprint import metrics_fingerprint
 
     result["fingerprint"] = metrics_fingerprint(metrics)
-    shard_stats = runner.shard_stats()
-    if shard_stats is not None:
-        result["shard_stats"] = shard_stats
-        runner.close()
     return result
-
-
-def run_shard_bench(
-    n_shards: int,
-    *,
-    backend: str = "process",
-    overrides: Optional[Dict[str, Any]] = None,
-) -> Dict[str, Any]:
-    """Serial vs sharded on :data:`SCALE_WORKLOAD`; parity + speedups.
-
-    Reports two speedups:
-
-    * ``wall_speedup`` — measured wall-clock ratio.  Only meaningful with
-      at least ``n_shards`` free cores; on a 1-core container every
-      backend time-slices one CPU and wall can only get *worse*.
-    * ``modeled.speedup`` — the critical-path model: per-shard worker CPU
-      times (``time.process_time`` inside each worker, immune to
-      contention) give the LC stage's parallel critical path
-      ``Σ_ticks max_shard(busy)``; the modeled wall replaces the serial
-      run's LC stage time with that critical path plus the measured
-      payload-build/merge overhead.  This is the speedup the shard plan
-      delivers once cores exist, computed from measurements, not guesses.
-
-    Both runs' RunMetrics fingerprints are compared; ``fingerprints_match``
-    is the headline parity bit (the equivalence suite asserts it too).
-    """
-    wl = dict(SCALE_WORKLOAD)
-    if overrides:
-        wl.update(overrides)
-    serial = run_bench(wl, profile=True)
-    sharded = run_bench(wl, profile=True, shards=n_shards, backend=backend)
-
-    lc_stats = sharded["shard_stats"]["lc"]
-    serial_wall = serial["wall_s"]
-    lc_serial_s = serial.get("stage_ms", {}).get("lc", 0.0) / 1000.0
-    critical_s = lc_stats["critical_busy_s"]
-    overhead_s = lc_stats["overhead_s"]
-    modeled_wall = max(
-        1e-9, serial_wall - lc_serial_s + critical_s + overhead_s
-    )
-    try:
-        cores = len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux
-        cores = os.cpu_count() or 1
-    return {
-        "workload": wl,
-        "shards": n_shards,
-        "backend": backend,
-        "cores": cores,
-        "fingerprints_match": serial["fingerprint"] == sharded["fingerprint"],
-        "wall_speedup": round(serial_wall / sharded["wall_s"], 3),
-        "modeled": {
-            "note": (
-                "critical-path model from worker-side CPU times: "
-                "modeled_wall = serial_wall - lc_serial + "
-                "max-per-tick shard busy + shard overhead; the parallel "
-                "speedup the plan delivers with >= `shards` free cores "
-                f"(this box exposes {cores})"
-            ),
-            "lc_serial_s": round(lc_serial_s, 3),
-            "lc_critical_path_s": round(critical_s, 3),
-            "lc_total_busy_s": round(lc_stats["total_busy_s"], 3),
-            "shard_overhead_s": round(overhead_s, 3),
-            "modeled_wall_s": round(modeled_wall, 3),
-            "speedup": round(serial_wall / modeled_wall, 3),
-        },
-        "serial": serial,
-        "sharded": sharded,
-    }
 
 
 def write_bench_json(

@@ -171,13 +171,8 @@ class DSSLCScheduler:
         #: ``(config.seed, origin_cluster)``.  Each master runs Alg. 2
         #: independently in the paper, so each owns an independent random
         #: stream — this is also what makes per-master dispatch rounds
-        #: order-free, which the sharded execution backend relies on.
+        #: order-free.
         self._priorities: Dict[int, PriorityPolicy] = {}
-        #: when set, :meth:`_per_request_minima` serves these
-        #: ``{service: (r_cpu, r_mem)}`` vectors instead of querying the
-        #: re-assurance mechanism — shard workers receive pre-resolved
-        #: minima because they do not hold the HRM objects.
-        self._minima_override: Optional[Dict[str, tuple]] = None
         self.decision_latencies_ms: List[float] = []
         self.case2_rounds = 0
         #: observability bus; assigned by the runner, None when disabled
@@ -215,17 +210,6 @@ class DSSLCScheduler:
             )
             self._priorities[origin_cluster] = policy
         return policy
-
-    def minima_for(
-        self, spec: ServiceSpec, nodes: List[NodeSnapshot]
-    ) -> tuple:
-        """Resolved per-node ``(r^c_k, r^m_k)`` vectors for ``spec``.
-
-        Public so the sharded backend can pre-resolve minima in the parent
-        (where the re-assurance mechanism lives) and ship plain arrays to
-        workers via :attr:`_minima_override`.
-        """
-        return self._per_request_minima(spec, nodes)
 
     def dispatch(
         self,
@@ -482,10 +466,6 @@ class DSSLCScheduler:
         control loop fires, so successive dispatch rounds within a snapshot
         period reuse the same vectors.
         """
-        if self._minima_override is not None:
-            entry = self._minima_override.get(spec.name)
-            if entry is not None:
-                return entry
         version = self.reassurance.version if self.reassurance is not None else 0
         key = (spec.name, id(nodes))
         cached = self._minima_cache.get(key)

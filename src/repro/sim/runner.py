@@ -96,16 +96,6 @@ class RunnerConfig:
     #: time each pipeline stage with :class:`repro.perf.StageProfiler`
     #: (exposed as ``runner.profiler``; ~0.1 % overhead).
     profile: bool = False
-    #: partition clusters into this many shards and run the per-cluster
-    #: tick work (refresh, per-master DSS-LC, node stepping, re-assurance
-    #: collection) across a worker pool with a deterministic merge
-    #: barrier (:mod:`repro.sim.sharding`).  0 disables sharding entirely;
-    #: 1 runs the sharded code path with a single shard (useful to pin
-    #: merge semantics).  RunMetrics are bit-identical either way.
-    shards: int = 0
-    #: worker-pool flavor for sharded execution: ``process`` (default),
-    #: ``thread``, or ``serial`` (sharded code path, in-process).
-    parallel_backend: str = "process"
 
 
 class SimulationRunner:
@@ -224,17 +214,6 @@ class SimulationRunner:
                 include_invariants=self.invariants is not None,
             )
         )
-        # --- sharded execution (opt-in) -----------------------------------
-        # The coordinator holds no simulation state; checkpoints move
-        # freely between shard counts and the serial pipeline.
-        self.coordinator = None
-        if self.config.shards >= 1:
-            from repro.sim.sharding import ShardCoordinator
-
-            self.coordinator = ShardCoordinator(
-                system, self.config.shards, self.config.parallel_backend
-            )
-            self.coordinator.install(self.pipeline)
 
     def _wire_publishers(self) -> None:
         """Hand the bus + emitter to every publisher exactly once.
@@ -297,27 +276,6 @@ class SimulationRunner:
     def crash_abandoned(self) -> int:
         """LC requests lost while running on a crashed node (abandoned)."""
         return self.ctx.crash_abandoned
-
-    # ------------------------------------------------------------------ #
-    # lifecycle
-    # ------------------------------------------------------------------ #
-    def close(self) -> None:
-        """Shut down shard worker pools (idempotent; pools are lazily
-        re-created if the runner runs again)."""
-        coordinator = getattr(self, "coordinator", None)
-        if coordinator is not None:
-            coordinator.close()
-
-    def shard_stats(self) -> Optional[Dict[str, Any]]:
-        """Per-shard timing/plan introspection (None when not sharded)."""
-        coordinator = getattr(self, "coordinator", None)
-        return None if coordinator is None else coordinator.stats()
-
-    def __del__(self) -> None:  # pragma: no cover - interpreter teardown
-        try:
-            self.close()
-        except Exception:
-            pass
 
     # ------------------------------------------------------------------ #
     # main loop

@@ -12,10 +12,16 @@ allocator) round-trips through the checkpoint.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro import TangoConfig, TangoSystem
 from repro.cluster.topology import TopologyConfig
+from repro.metrics.report import load_metrics
 from repro.sim.checkpoint import (
     CHECKPOINT_VERSION,
     RunnerCheckpoint,
@@ -248,3 +254,39 @@ class TestCli:
         resumed = capsys.readouterr().out
         # resume prints a provenance line, then the identical summary
         assert resumed.splitlines()[1:] == straight.splitlines()
+
+    def test_resume_ignores_retired_execution_meta(self, tmp_path):
+        """Checkpoints written by older builds carry ``shards`` and
+        ``parallel_backend`` in their meta; they must still resume through
+        ``python -m repro resume`` to the straight-run metrics."""
+        from repro.cli import main
+
+        common = [
+            "--clusters", "2", "--workers", "2", "--duration", "4",
+            "--seed", "5",
+        ]
+        straight_json = str(tmp_path / "straight.json")
+        assert main(["run", "--stack", "tango", *common,
+                     "--out", straight_json]) == 0
+        ckpt = str(tmp_path / "old.ckpt")
+        assert main(["checkpoint", "--stack", "tango", *common,
+                     "--at", "2", "--out", ckpt]) == 0
+        checkpoint = load_checkpoint(ckpt)
+        checkpoint.meta.update(shards=2, parallel_backend="process")
+        save_checkpoint(checkpoint, ckpt)
+
+        resumed_json = str(tmp_path / "resumed.json")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        done = subprocess.run(
+            [sys.executable, "-m", "repro", "resume", ckpt,
+             "--out", resumed_json],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        assert fingerprint(load_metrics(resumed_json)) == fingerprint(
+            load_metrics(straight_json)
+        )

@@ -220,6 +220,63 @@ class TestCase2:
         assert rec.target_fill == sched.config.target_fill
 
 
+class TestMastersCommute:
+    """Each master owns its ρ(·) stream, so dispatch order across masters
+    changes neither assignments nor any master's RNG position."""
+
+    @staticmethod
+    def saturated_batch(master, n=12):
+        return [
+            ServiceRequest(spec=LC, origin_cluster=master, arrival_ms=0.0)
+            for _ in range(n)
+        ]
+
+    @staticmethod
+    def saturated_nodes():
+        r_cpu = LC.min_resources.cpu
+        r_mem = LC.min_resources.memory
+        # two immediate units in total: a 12-request batch is case 2
+        return [
+            node("big", 0, r_cpu * 1.2, r_mem * 1.2,
+                 cpu_total=12.0, mem_total=24576.0),
+            node("small", 1, r_cpu * 1.2, r_mem * 1.2,
+                 cpu_total=4.0, mem_total=8192.0),
+        ]
+
+    def run_in_order(self, masters):
+        sched = DSSLCScheduler(DSSLCConfig(seed=9))
+        placed = {}
+        for master in masters:
+            batch = self.saturated_batch(master)
+            index = {id(r): i for i, r in enumerate(batch)}
+            out = sched.dispatch(
+                master, batch, snapshot(self.saturated_nodes()), [0, 1], 0.0
+            )
+            placed[master] = [
+                (index[id(a.request)], a.node_name, a.cluster_id, a.cost_ms)
+                for a in out
+            ]
+        rng_states = {
+            m: sched.priority_for(m).rng.bit_generator.state for m in masters
+        }
+        return sched, placed, rng_states
+
+    def test_dispatch_order_across_masters_is_unobservable(self):
+        fwd, placed_fwd, rng_fwd = self.run_in_order([0, 1])
+        rev, placed_rev, rng_rev = self.run_in_order([1, 0])
+        assert fwd.case2_rounds == rev.case2_rounds == 2
+        assert placed_fwd == placed_rev
+        assert all(len(p) == 12 for p in placed_fwd.values())
+        assert rng_fwd == rng_rev
+        # ρ(·) was actually drawn from: each stream left its seed position
+        fresh = DSSLCScheduler(DSSLCConfig(seed=9))
+        for master in (0, 1):
+            assert (
+                rng_fwd[master]
+                != fresh.priority_for(master).rng.bit_generator.state
+            )
+
+
 class TestCapacityCorrections:
     def test_headroom_reserves_contention_margin(self):
         """With target_fill<1, a node near the knee gets no capacity."""
