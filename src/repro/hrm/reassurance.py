@@ -11,12 +11,20 @@ For every worker node and LC service, the mechanism compares the slack score
 frequency with a small proportion": adjustments are multiplicative with a
 small step and clamped between a floor (a fraction of the catalog minimum)
 and a ceiling (a multiple of the reference allocation).
+
+The adjusted minima live in per-service float64 columns indexed by a node
+slot, so DSS-LC reads a whole node list's minima with one gather instead of
+a per-node lookup.  Slots are handed out on first sight of a node name and
+never move, so a slot array cached by a consumer stays valid across
+``reset`` and ``restore_state``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.cluster.resources import ResourceVector
 from repro.obs.emitter import NULL_EMITTER
@@ -72,12 +80,14 @@ class ReassuranceMechanism:
         self.config = config or ReassuranceConfig()
         if not self.config.alpha < self.config.beta:
             raise ValueError("require alpha < beta")
-        self._min_resources: Dict[Tuple[str, str], ResourceVector] = {}
+        #: node name -> slot (column index); append-only, so insertion
+        #: order is slot order.
+        self._slots: Dict[str, int] = {}
+        #: service name -> ``(4, capacity)`` adjusted minima, one row per
+        #: ResourceVector dimension; NaN marks a cell never adjusted.
+        self._columns: Dict[str, np.ndarray] = {}
         self._last_run_ms: float = -1e18
         self.adjustments = {LEVEL_POOR: 0, LEVEL_EXCELLENT: 0, LEVEL_STABLE: 0}
-        #: bumped on every minima change so consumers (DSS-LC) can cache
-        #: derived per-node values between adjustment passes.
-        self.version = 0
         #: observability bus; assigned by the runner, None when disabled
         #: (kept for introspection — emissions go through the emitter).
         self.bus = None
@@ -93,7 +103,51 @@ class ReassuranceMechanism:
     # ------------------------------------------------------------------ #
     def min_resources(self, node: str, spec: ServiceSpec) -> ResourceVector:
         """Current minimum allocation for one request of ``spec`` on node."""
-        return self._min_resources.get((node, spec.name), spec.min_resources)
+        column = self._columns.get(spec.name)
+        slot = self._slots.get(node)
+        if column is None or slot is None:
+            return spec.min_resources
+        cell = column[:, slot].tolist()
+        if cell[0] != cell[0]:  # NaN: never adjusted
+            return spec.min_resources
+        return ResourceVector(*cell)
+
+    def slots_of(self, nodes: Sequence[str]) -> np.ndarray:
+        """Column slots of ``nodes``, assigning one to each new name."""
+        return np.array([self._slot(n) for n in nodes], dtype=np.intp)
+
+    def minima(
+        self, spec: ServiceSpec, slots: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """(cpu, memory) minima of ``spec`` at ``slots``: one gather each.
+
+        Unadjusted cells fall back to the catalog minimum, exactly as
+        :meth:`min_resources` does.
+        """
+        base = spec.min_resources
+        column = self._columns.get(spec.name)
+        if column is None:
+            return (
+                np.full(len(slots), base.cpu, dtype=np.float64),
+                np.full(len(slots), base.memory, dtype=np.float64),
+            )
+        # row-then-gather is a plain 1-D take (far cheaper than 2-D
+        # indexing); the gathered copies are then filled in place.
+        cpu, mem = column[0][slots], column[1][slots]
+        np.copyto(cpu, base.cpu, where=np.isnan(cpu))
+        np.copyto(mem, base.memory, where=np.isnan(mem))
+        return cpu, mem
+
+    def _slot(self, node: str) -> int:
+        slot = self._slots.get(node)
+        if slot is None:
+            slot = self._slots[node] = len(self._slots)
+            for name, column in self._columns.items():
+                if slot >= column.shape[1]:
+                    grown = np.full((4, 2 * column.shape[1]), np.nan)
+                    grown[:, : column.shape[1]] = column
+                    self._columns[name] = grown
+        return slot
 
     def classify(
         self,
@@ -156,34 +210,51 @@ class ReassuranceMechanism:
         scaled = current * factor
         floor = spec.min_resources * self.config.floor_fraction
         ceiling = spec.reference_resources * self.config.ceiling_multiple
-        self._min_resources[(node, spec.name)] = scaled.max_with(floor).min_with(
-            ceiling
-        )
-        self.version += 1
+        self._write(node, spec.name, scaled.max_with(floor).min_with(ceiling))
+
+    def _write(self, node: str, service: str, value: ResourceVector) -> None:
+        slot = self._slot(node)  # first: a new slot may grow the columns
+        column = self._columns.get(service)
+        if column is None:
+            column = np.full((4, max(8, len(self._slots))), np.nan)
+            self._columns[service] = column
+        column[:, slot] = value.as_tuple()
 
     def reset(self, node: Optional[str] = None) -> None:
-        self.version += 1
         if node is None:
-            self._min_resources.clear()
-        else:
-            for key in [k for k in self._min_resources if k[0] == node]:
-                del self._min_resources[key]
+            self._columns.clear()
+        elif node in self._slots:
+            for column in self._columns.values():
+                column[:, self._slots[node]] = np.nan
 
     # ------------------------------------------------------------------ #
     # Checkpointable
     # ------------------------------------------------------------------ #
     def snapshot_state(self) -> Dict:
+        """The adjusted minima as a ``{(node, service): ResourceVector}``
+        mapping, so the checkpoint format does not depend on slot layout."""
+        names = list(self._slots)
+        adjusted = {}
+        for service, column in self._columns.items():
+            for slot in np.flatnonzero(~np.isnan(column[0])).tolist():
+                adjusted[(names[slot], service)] = ResourceVector(
+                    *column[:, slot].tolist()
+                )
         return {
-            "min_resources": self._min_resources,
+            "min_resources": adjusted,
             "last_run_ms": self._last_run_ms,
             "adjustments": self.adjustments,
-            "version": self.version,
             "levels": self._levels,
         }
 
     def restore_state(self, state: Dict) -> None:
-        self._min_resources = state["min_resources"]
+        # slots stay as assigned (new names get new ones), so slot arrays
+        # cached by consumers remain valid; only the cells are rebuilt.
+        # Checkpoints from older builds also carry a "version" counter,
+        # which nothing reads any more.
+        self._columns.clear()
+        for (node, service), value in state["min_resources"].items():
+            self._write(node, service, value)
         self._last_run_ms = state["last_run_ms"]
         self.adjustments = state["adjustments"]
-        self.version = state["version"]
         self._levels = state["levels"]

@@ -185,13 +185,10 @@ class DSSLCScheduler:
         #: G_k solves and their (SSP-equivalent) augmentations, cumulative.
         self._solves = 0
         self._augmentations = 0
-        #: per-type minima cache: (service, id(nodes)) -> (nodes ref,
-        #: reassurance version, r_cpu, r_mem).  Each master queries its own
-        #: eligible-node list, so the list identity is part of the key; the
-        #: pinned nodes reference inside the entry defeats ``id()`` reuse.
-        self._minima_cache: Dict[Tuple[str, int], tuple] = {}
-        #: per-node resource columns (cpu/mem available+total, lc queue)
-        #: as arrays, keyed and pinned the same way as the minima cache.
+        #: per-node columns (cpu/mem available+total, lc queue, cluster,
+        #: re-assurance slot) of an eligible-node list, keyed by the list's
+        #: ``id()``.  Each master queries its own list; the entry pins the
+        #: list so a recycled ``id()`` can never serve stale columns.
         self._node_array_cache: Dict[int, tuple] = {}
         #: when set (by the runner with invariant checking on), every
         #: per-type dispatch round appends a :class:`DispatchAuditRecord`;
@@ -266,19 +263,7 @@ class DSSLCScheduler:
         snapshot: SystemSnapshot,
     ) -> List[Assignment]:
         spec = requests[0].spec
-        r_cpu, r_mem = self._per_request_minima(spec, nodes)
-        cpu_ava, mem_ava, cpu_tot, mem_tot, lc_q, _ = self._node_arrays(nodes)
-
-        # |t_i^k| of Eq. 2, with two practical corrections: the node is only
-        # filled to ``target_fill`` of its total (past that every co-located
-        # request pays interference), and requests already waiting at the
-        # node consume capacity units this round.  Elementwise array ops are
-        # IEEE-identical to the scalar per-node loop they replace.
-        hold = 1.0 - self.config.target_fill
-        cpu_eff = np.maximum(0.0, cpu_ava - hold * cpu_tot)
-        mem_eff = np.maximum(0.0, mem_ava - hold * mem_tot)
-        units = np.minimum(cpu_eff / r_cpu, mem_eff / r_mem).astype(np.int64)
-        capacities = np.maximum(0, units - lc_q)
+        r_cpu, r_mem, capacities = self._capacities(spec, nodes)
         pending = len(requests)
         total_capacity = int(capacities.sum())
 
@@ -307,17 +292,9 @@ class DSSLCScheduler:
         queued = queued[: self.config.max_queue_push]
         queued_counts = np.zeros_like(placed_now)
         if queued:
-            total_units = np.minimum(
-                cpu_tot / r_cpu, mem_tot / r_mem
-            ).astype(np.int64)
-            # Ĝ'_k capacities come from *remaining* total resources: the
-            # immediate placements of this very round and the requests
-            # already queued at each node consume capacity units, so both
-            # are deducted before the λ scaling of Eqs. 7-8 (counting the
-            # raw totals twice over-assigned busy nodes).
-            adjusted = np.maximum(0, total_units - placed_now - lc_q)
-            aug_caps = self._augmented_capacities(
-                [int(u) for u in adjusted], len(queued)
+            aug_caps = augmented_capacities(
+                self._remaining_units(nodes, r_cpu, r_mem, placed_now),
+                len(queued),
             )
             queued_assignments, queued_counts = self._solve_and_assign(
                 origin_cluster, queued, nodes, aug_caps, snapshot
@@ -376,18 +353,12 @@ class DSSLCScheduler:
         """
         from repro.flow.multicommodity import Commodity, SharedLink, solve_sequential
 
-        fill = self.config.target_fill
         commodities: List[Commodity] = []
         for service, reqs in groups.items():
-            spec = reqs[0].spec
-            r_cpu, r_mem = self._per_request_minima(spec, nodes)
-            supplies = [len(reqs)]
-            for i, n in enumerate(nodes):
-                cpu_eff = max(0.0, n.cpu_available - (1.0 - fill) * n.cpu_total)
-                mem_eff = max(0.0, n.mem_available - (1.0 - fill) * n.mem_total)
-                units = self._node_units(cpu_eff, mem_eff, r_cpu[i], r_mem[i])
-                supplies.append(-max(0, units - n.lc_queue))
-            commodities.append(Commodity(service, supplies))
+            _, _, capacities = self._capacities(reqs[0].spec, nodes)
+            commodities.append(
+                Commodity(service, [len(reqs)] + (-capacities).tolist())
+            )
 
         links = [
             SharedLink(
@@ -401,11 +372,14 @@ class DSSLCScheduler:
         result = solve_sequential(1 + len(nodes), commodities, links)
 
         assignments: List[Assignment] = []
+        #: placements per node so far this round, across all types
+        placed_now = np.zeros(len(nodes), dtype=np.int64)
         for service, reqs in groups.items():
             cursor = 0
             for (src, dst), flow in sorted(result.flows[service].items()):
                 node = nodes[dst - 1]
                 delay = snapshot.delay_ms[origin_cluster][node.cluster_id]
+                first = cursor
                 for _ in range(flow):
                     if cursor >= len(reqs):
                         break
@@ -419,6 +393,7 @@ class DSSLCScheduler:
                     )
                     self._flow_cost_round += delay
                     cursor += 1
+                placed_now[dst - 1] += cursor - first
             # overflow the joint solve could not place follows the case-2
             # queued path (Ĝ'_k over total resources, Eq. 7-8) — critically,
             # this ships LC to busy nodes where HRM preemption frees BE-held
@@ -426,34 +401,18 @@ class DSSLCScheduler:
             leftover = reqs[cursor:][: self.config.max_queue_push]
             if leftover:
                 self.case2_rounds += 1
-                spec = leftover[0].spec
-                r_cpu, r_mem = self._per_request_minima(spec, nodes)
-                # remaining totals: deduct this round's joint-solve
-                # placements and each node's existing backlog, mirroring
-                # the per-type case-2 path.
-                placed_now = [0] * len(nodes)
-                index_of = {n.name: i for i, n in enumerate(nodes)}
-                for a in assignments:
-                    placed_now[index_of[a.node_name]] += 1
-                total_units = [
-                    max(
-                        0,
-                        self._node_units(
-                            n.cpu_total, n.mem_total, r_cpu[i], r_mem[i]
-                        )
-                        - placed_now[i]
-                        - n.lc_queue,
-                    )
-                    for i, n in enumerate(nodes)
-                ]
-                aug_caps = self._augmented_capacities(
-                    total_units, len(leftover)
+                r_cpu, r_mem = self._per_request_minima(leftover[0].spec, nodes)
+                # remaining totals: deduct this round's placements so far
+                # and each node's existing backlog, as the per-type path does.
+                aug_caps = augmented_capacities(
+                    self._remaining_units(nodes, r_cpu, r_mem, placed_now),
+                    len(leftover),
                 )
-                assignments.extend(
-                    self._solve_and_assign(
-                        origin_cluster, leftover, nodes, aug_caps, snapshot
-                    )[0]
+                placed, counts = self._solve_and_assign(
+                    origin_cluster, leftover, nodes, aug_caps, snapshot
                 )
+                assignments.extend(placed)
+                placed_now += counts
         return assignments
 
     def _per_request_minima(
@@ -461,36 +420,61 @@ class DSSLCScheduler:
     ) -> tuple:
         """Per-node (r^c_k, r^m_k), re-assurance-adjusted when available.
 
-        Memoized per (node list, re-assurance version): the node list is a
-        shared snapshot object, and re-assurance minima only move when its
-        control loop fires, so successive dispatch rounds within a snapshot
-        period reuse the same vectors.
+        One gather from the re-assurance columns at the list's cached node
+        slots; no per-node Python and no cache of its own, so the minima are
+        always the ones re-assurance holds right now.
         """
-        version = self.reassurance.version if self.reassurance is not None else 0
-        key = (spec.name, id(nodes))
-        cached = self._minima_cache.get(key)
-        if cached is not None and cached[0] is nodes and cached[1] == version:
-            return cached[2], cached[3]
-        r_cpu = np.empty(len(nodes))
-        r_mem = np.empty(len(nodes))
-        for i, n in enumerate(nodes):
-            if self.reassurance is not None:
-                r = self.reassurance.min_resources(n.name, spec)
-            else:
-                r = spec.min_resources
-            r_cpu[i] = max(r.cpu, 1e-9)
-            r_mem[i] = max(r.memory, 1e-9)
-        if len(self._minima_cache) > 512:
-            self._minima_cache.clear()
-        self._minima_cache[key] = (nodes, version, r_cpu, r_mem)
-        return r_cpu, r_mem
+        if self.reassurance is None:
+            r = spec.min_resources
+            return (
+                np.full(len(nodes), max(r.cpu, 1e-9), dtype=np.float64),
+                np.full(len(nodes), max(r.memory, 1e-9), dtype=np.float64),
+            )
+        slots = self._node_arrays(nodes)[-1]
+        r_cpu, r_mem = self.reassurance.minima(spec, slots)
+        return np.maximum(r_cpu, 1e-9), np.maximum(r_mem, 1e-9)
+
+    def _capacities(self, spec: ServiceSpec, nodes: List[NodeSnapshot]) -> tuple:
+        """``(r_cpu, r_mem, capacities)``: minima and Eq. 2 capacities.
+
+        |t_i^k| of Eq. 2, with two practical corrections: the node is only
+        filled to ``target_fill`` of its total (past that every co-located
+        request pays interference), and requests already waiting at the node
+        consume capacity units this round.  Elementwise array ops are
+        IEEE-identical to the scalar per-node reference.
+        """
+        r_cpu, r_mem = self._per_request_minima(spec, nodes)
+        cpu_ava, mem_ava, cpu_tot, mem_tot, lc_q, *_ = self._node_arrays(nodes)
+        hold = 1.0 - self.config.target_fill
+        cpu_eff = np.maximum(0.0, cpu_ava - hold * cpu_tot)
+        mem_eff = np.maximum(0.0, mem_ava - hold * mem_tot)
+        units = self._node_units(cpu_eff, mem_eff, r_cpu, r_mem)
+        return r_cpu, r_mem, np.maximum(0, units - lc_q)
+
+    def _remaining_units(
+        self,
+        nodes: List[NodeSnapshot],
+        r_cpu: np.ndarray,
+        r_mem: np.ndarray,
+        placed_now: np.ndarray,
+    ) -> List[int]:
+        """Ĝ'_k inputs of Eqs. 7-8: units of *remaining* total resources.
+
+        This round's placements and the requests already queued at each node
+        consume capacity units, so both are deducted before the λ scaling
+        (counting the raw totals twice over-assigned busy nodes).
+        """
+        _, _, cpu_tot, mem_tot, lc_q, *_ = self._node_arrays(nodes)
+        units = self._node_units(cpu_tot, mem_tot, r_cpu, r_mem)
+        return np.maximum(0, units - placed_now - lc_q).tolist()
 
     def _node_arrays(self, nodes: List[NodeSnapshot]) -> tuple:
-        """Resource columns for a snapshot's eligible-node list, as arrays.
+        """Columns for a snapshot's eligible-node list, as arrays.
 
         Valid for the lifetime of the list object (node views are frozen for
         a snapshot period); the entry pins the list so a recycled ``id()``
-        can never serve stale columns.
+        can never serve stale columns.  The last column holds the nodes'
+        re-assurance slots, which never move once assigned.
         """
         key = id(nodes)
         cached = self._node_array_cache.get(key)
@@ -503,6 +487,8 @@ class DSSLCScheduler:
             np.array([n.mem_total for n in nodes]),
             np.array([n.lc_queue for n in nodes], dtype=np.int64),
             np.array([n.cluster_id for n in nodes], dtype=np.intp),
+            None if self.reassurance is None
+            else self.reassurance.slots_of([n.name for n in nodes]),
         )
         if len(self._node_array_cache) > 64:
             self._node_array_cache.clear()
@@ -510,17 +496,10 @@ class DSSLCScheduler:
         return arrays
 
     @staticmethod
-    def _node_units(
-        cpu_ava: float, mem_ava: float, r_cpu: float, r_mem: float
-    ) -> int:
-        """|t_i^k| of Eq. 2 (or its total-resource analogue for Eq. 7)."""
-        return max(0, int(min(cpu_ava / r_cpu, mem_ava / r_mem)))
-
-    def _augmented_capacities(
-        self, total_units: List[int], n_queued: int
-    ) -> List[int]:
-        """Eq. 7–8 λ scaling; see :func:`augmented_capacities`."""
-        return augmented_capacities(total_units, n_queued)
+    def _node_units(cpu, mem, r_cpu, r_mem):
+        """|t_i^k| of Eq. 2 (or its total-resource analogue for Eq. 7),
+        elementwise over per-node arrays of non-negative resources."""
+        return np.minimum(cpu / r_cpu, mem / r_mem).astype(np.int64)
 
     # ------------------------------------------------------------------ #
     # graph construction + flow solve
@@ -541,7 +520,7 @@ class DSSLCScheduler:
         """
         if not requests:
             return [], np.zeros(len(nodes), dtype=np.int64)
-        *_, cluster_ids = self._node_arrays(nodes)
+        cluster_ids = self._node_arrays(nodes)[5]
         delay_row = snapshot.delay_ms[origin_cluster]
         delays = np.asarray(delay_row)[cluster_ids]
         result = solve_transport(
@@ -610,7 +589,6 @@ class DSSLCScheduler:
         self.decision_latencies_ms = state["decision_latencies_ms"]
         self.case2_rounds = state["case2_rounds"]
         self._flow_cost_round = state["flow_cost_round"]
-        self._minima_cache.clear()
         self._node_array_cache.clear()
 
     def solver_stats(self) -> Dict[str, float]:

@@ -12,6 +12,7 @@ allocator) round-trips through the checkpoint.
 
 from __future__ import annotations
 
+import copy
 import os
 import subprocess
 import sys
@@ -20,7 +21,10 @@ import pytest
 
 import repro
 from repro import TangoConfig, TangoSystem
+from repro.cluster.resources import ResourceVector
 from repro.cluster.topology import TopologyConfig
+from repro.hrm.qos import QoSDetector
+from repro.hrm.reassurance import ReassuranceMechanism
 from repro.metrics.report import load_metrics
 from repro.sim.checkpoint import (
     CHECKPOINT_VERSION,
@@ -30,6 +34,7 @@ from repro.sim.checkpoint import (
 )
 from repro.sim.failures import FailureConfig
 from repro.sim.runner import RunnerConfig
+from repro.workloads.spec import ServiceKind, default_catalog
 from repro.workloads.trace import SyntheticTrace, TraceConfig
 
 DURATION_MS = 6_000.0
@@ -135,6 +140,22 @@ class TestResumeFingerprintParity:
         )
         assert resumed == straight
 
+    def test_tango_resumes_adjusted_minima(self):
+        # the checkpoint lands after re-assurance has moved some minima, so
+        # the resumed leg must rebuild them from the checkpointed mapping
+        straight_system, trace = build(TangoConfig.tango, 1)
+        straight = fingerprint(straight_system.run(trace))
+
+        leg1_system, _ = build(TangoConfig.tango, 1)
+        leg1_system.run(trace, until_ms=CHECKPOINT_MS)
+        checkpoint = leg1_system.last_runner.checkpoint()
+        adjusted = checkpoint.state["components"]["reassurance"]["min_resources"]
+        assert adjusted
+
+        leg2_system, _ = build(TangoConfig.tango, 1)
+        resumed = fingerprint(leg2_system.resume(trace, checkpoint))
+        assert resumed == straight
+
     def test_observe_flag_may_differ_across_legs(self):
         # the checkpoint carries no observability state, so a run recorded
         # with observe=False can be resumed with observe=True and still
@@ -184,6 +205,36 @@ class TestForkSemantics:
         assert fork.state["clock"] == checkpoint.state["clock"]
         fork.state["runner"]["trace_cursor"] = -1
         assert checkpoint.state["runner"]["trace_cursor"] != -1
+
+
+class TestReassuranceState:
+    def test_pre_column_state_restores(self):
+        """A re-assurance state as older builds wrote it, still carrying
+        the retired ``version`` counter, restores to the same minima."""
+        lc = [s for s in default_catalog() if s.kind is ServiceKind.LC]
+        adjusted = {
+            ("w0", lc[0].name): ResourceVector(0.77, 788.48, 0.0, 0.0),
+            ("w3", lc[0].name): ResourceVector(0.672, 688.128, 0.0, 0.0),
+            ("w3", lc[1].name): ResourceVector(0.5775, 591.36, 0.0, 0.0),
+        }
+        state = {
+            "min_resources": adjusted,
+            "last_run_ms": 2_700.0,
+            "adjustments": {"poor": 2, "excellent": 1, "stable": 40},
+            "version": 3,
+            "levels": {("w0", lc[0].name): "poor"},
+        }
+        mech = ReassuranceMechanism(QoSDetector())
+        mech.restore_state(copy.deepcopy(state))
+        for name in ("w0", "w1", "w3"):
+            for spec in lc:
+                assert mech.min_resources(name, spec) == adjusted.get(
+                    (name, spec.name), spec.min_resources
+                )
+        snap = mech.snapshot_state()
+        assert snap["min_resources"] == adjusted
+        assert "version" not in snap
+        assert snap["levels"] == state["levels"]
 
 
 class TestCheckpointValidation:

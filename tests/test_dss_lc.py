@@ -1,19 +1,29 @@
 """DSS-LC scheduler tests: both Alg. 2 cases, Eq. 7-8, decision latency."""
 
+import copy
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.state_storage import NodeSnapshot, SystemSnapshot
-from repro.scheduling.dss_lc import DSSLCConfig, DSSLCScheduler
+from repro.hrm.qos import QoSDetector
+from repro.hrm.reassurance import ReassuranceConfig, ReassuranceMechanism
+from repro.scheduling.dss_lc import (
+    DSSLCConfig,
+    DSSLCScheduler,
+    augmented_capacities,
+)
 from repro.sim.request import ServiceRequest
 from repro.workloads.spec import ServiceKind, default_catalog
 
 CATALOG = default_catalog()
-LC = next(s for s in CATALOG if s.kind is ServiceKind.LC)
-LC2 = [s for s in CATALOG if s.kind is ServiceKind.LC][1]
+LCS = [s for s in CATALOG if s.kind is ServiceKind.LC]
+LC, LC2 = LCS[0], LCS[1]
 
 
-def node(name, cluster, cpu_ava, mem_ava, cpu_total=16.0, mem_total=32768.0):
+def node(name, cluster, cpu_ava, mem_ava, cpu_total=16.0, mem_total=32768.0,
+         lc_queue=0):
     return NodeSnapshot(
         name=name,
         cluster_id=cluster,
@@ -21,7 +31,7 @@ def node(name, cluster, cpu_ava, mem_ava, cpu_total=16.0, mem_total=32768.0):
         cpu_available=cpu_ava,
         mem_total=mem_total,
         mem_available=mem_ava,
-        lc_queue=0,
+        lc_queue=lc_queue,
         be_queue=0,
         running=0,
         min_slack=1.0,
@@ -125,14 +135,12 @@ class TestCase2:
         assert counts["big"] > counts["small"]
 
     def test_augmentation_factor_conserves_count(self):
-        sched = DSSLCScheduler()
-        caps = sched._augmented_capacities([12, 4], 9)
+        caps = augmented_capacities([12, 4], 9)
         assert sum(caps) == 9
         assert caps[0] > caps[1]
 
     def test_augmentation_degenerate_total_zero(self):
-        sched = DSSLCScheduler()
-        caps = sched._augmented_capacities([0, 0, 0], 7)
+        caps = augmented_capacities([0, 0, 0], 7)
         assert sum(caps) == 7
 
     def test_queue_push_cap_bounds_case2(self):
@@ -318,9 +326,18 @@ class TestEquation2:
             det.observe("a", lc_spec.name, 0.0, lc_spec.qos_target_ms * 2)
         mech.run(0.0, {"a": {lc_spec.name: lc_spec}})
         sched = DSSLCScheduler(reassurance=mech)
-        nodes = [node("a", 0, 8.0, 16384.0)]
+        nodes = [node("a", 0, 8.0, 16384.0), node("b", 0, 8.0, 16384.0)]
         r_cpu, r_mem = sched._per_request_minima(lc_spec, nodes)
+        # one poor step on "a"; "b" was never adjusted
+        step = mech.config.increase_step
+        assert r_cpu.tolist() == [
+            lc_spec.min_resources.cpu * step, lc_spec.min_resources.cpu
+        ]
+        assert r_mem.tolist() == [
+            lc_spec.min_resources.memory * step, lc_spec.min_resources.memory
+        ]
         assert r_cpu[0] > lc_spec.min_resources.cpu
+        assert r_cpu[0] == mech.min_resources("a", lc_spec).cpu
 
 
 class TestTimeliness:
@@ -378,3 +395,153 @@ class TestCoordinatedTypes:
         out = sched.dispatch(0, mixed, snapshot(self.nodes()), [0, 1], 0.0)
         ids = [a.request.request_id for a in out]
         assert len(ids) == len(set(ids))
+
+    def test_pinned_dispatch_with_adjusted_minima(self):
+        """Joint solve plus case-2 overflow for two types, with minima that
+        re-assurance moved in both directions; pins the exact placement."""
+        det = QoSDetector()
+        mech = ReassuranceMechanism(det, ReassuranceConfig(period_ms=0.0))
+        for _ in range(10):
+            det.observe("a", LC.name, 0.0, LC.qos_target_ms * 2)
+            det.observe("c", LC2.name, 0.0, LC2.qos_target_ms * 0.05)
+        for t in range(3):
+            mech.run(float(t), {"a": {LC.name: LC}, "c": {LC2.name: LC2}})
+        nodes = [
+            node("a", 0, 4.6, 30000.0),
+            node("b", 1, 4.0, 30000.0, lc_queue=1),
+            node("c", 2, 2.7, 15000.0, cpu_total=8.0, mem_total=16384.0),
+            node("d", 1, 3.5, 30000.0, cpu_total=6.0, lc_queue=2),
+        ]
+        delays = [[1.0, 12.0, 30.0], [12.0, 1.0, 18.0], [30.0, 18.0, 1.0]]
+        snap = SystemSnapshot(
+            time_ms=0.0, nodes=nodes, delay_ms=delays, central_cluster_id=0
+        )
+        batch = requests(9, LC) + requests(12, LC2)
+        index = {id(r): i for i, r in enumerate(batch)}
+        sched = DSSLCScheduler(
+            DSSLCConfig(coordinate_types=True, link_capacity=4, seed=3),
+            reassurance=mech,
+        )
+        out = sched.dispatch(0, batch, snap, [0, 1, 2], 0.0)
+        assert [(index[id(a.request)], a.node_name) for a in out] == [
+            (0, "b"), (1, "d"), (2, "c"), (3, "a"), (4, "a"), (5, "b"),
+            (6, "b"), (7, "d"), (8, "c"), (9, "a"), (10, "a"), (11, "a"),
+            (12, "a"), (13, "b"), (14, "b"), (15, "d"), (16, "d"), (17, "c"),
+            (18, "c"), (19, "c"), (20, "a"),
+        ]
+        assert sched.case2_rounds == 2
+        # the G_k objectives of the round, slice surcharges included
+        assert sched._flow_cost_round == 277.0
+
+
+#: node names the differential test draws from; more than the initial
+#: column capacity, so columns grow while names keep first appearing.
+POOL = [f"w{i}" for i in range(24)]
+
+
+def reference_scale(model, node_name, spec, factor, config):
+    """The pre-column minima store: a (node, service) dict, scalar maths."""
+    current = model.get((node_name, spec.name), spec.min_resources)
+    floor = spec.min_resources * config.floor_fraction
+    ceiling = spec.reference_resources * config.ceiling_multiple
+    model[(node_name, spec.name)] = (
+        (current * factor).max_with(floor).min_with(ceiling)
+    )
+
+
+OPS = st.one_of(
+    st.tuples(
+        st.just("run"),
+        st.dictionaries(
+            st.tuples(st.sampled_from(POOL), st.sampled_from(range(len(LCS)))),
+            st.booleans(),  # True = poor, False = excellent
+            min_size=1,
+            max_size=6,
+        ),
+    ),
+    st.tuples(st.just("reset"), st.one_of(st.none(), st.sampled_from(POOL))),
+    st.tuples(st.just("save"), st.none()),
+    st.tuples(st.just("restore"), st.none()),
+)
+
+
+class TestMinimaColumns:
+    """DSS-LC's gathered minima equal the scalar per-node lookup, and the
+    lookup equals the pre-column dict store, after any op sequence."""
+
+    @staticmethod
+    def check(sched, mech, model, node_lists):
+        for spec in LCS:
+            for name in POOL:
+                assert mech.min_resources(name, spec) == model.get(
+                    (name, spec.name), spec.min_resources
+                )
+            for nodes in node_lists:
+                r_cpu, r_mem = sched._per_request_minima(spec, nodes)
+                scalar = [mech.min_resources(n.name, spec) for n in nodes]
+                assert r_cpu.tolist() == [max(r.cpu, 1e-9) for r in scalar]
+                assert r_mem.tolist() == [max(r.memory, 1e-9) for r in scalar]
+
+    @settings(max_examples=60, deadline=None)
+    @given(ops=st.lists(OPS, min_size=1, max_size=12), data=st.data())
+    def test_gather_matches_scalar_lookup(self, ops, data):
+        config = ReassuranceConfig(period_ms=0.0)
+        mech = ReassuranceMechanism(QoSDetector(), config)
+        sched = DSSLCScheduler(reassurance=mech)
+        model = {}
+        saved = None
+        seen = []  # node lists queried before; reused as the same objects
+        for step, (op, arg) in enumerate(ops):
+            if op == "run":
+                mech.detector = QoSDetector()
+                active = {}
+                for (name, k), poor in arg.items():
+                    spec = LCS[k]
+                    ratio = 2.0 if poor else 0.05
+                    for _ in range(10):
+                        mech.detector.observe(
+                            name, spec.name, 0.0, spec.qos_target_ms * ratio
+                        )
+                    active.setdefault(name, {})[spec.name] = spec
+                    factor = config.increase_step if poor else config.decrease_step
+                    reference_scale(model, name, spec, factor, config)
+                mech.run(float(step), active)
+            elif op == "reset":
+                mech.reset(arg)
+                model = {
+                    key: v for key, v in model.items()
+                    if arg is not None and key[0] != arg
+                }
+            elif op == "save":
+                saved = (copy.deepcopy(mech.snapshot_state()), dict(model))
+            else:
+                state, kept = saved or (
+                    copy.deepcopy(mech.snapshot_state()), dict(model)
+                )
+                mech.restore_state(copy.deepcopy(state))
+                model = dict(kept)
+            names = data.draw(
+                st.lists(st.sampled_from(POOL), min_size=1, max_size=10,
+                         unique=True)
+            )
+            fresh = [node(n, 0, 8.0, 16384.0) for n in names]
+            self.check(sched, mech, model, seen + [fresh])
+            seen.append(fresh)
+
+    def test_names_first_seen_after_columns_exist(self):
+        config = ReassuranceConfig(period_ms=0.0)
+        mech = ReassuranceMechanism(QoSDetector(), config)
+        sched = DSSLCScheduler(reassurance=mech)
+        early = [node(n, 0, 8.0, 16384.0) for n in POOL[:3]]
+        sched._per_request_minima(LC, early)  # slots 0-2 assigned
+        for _ in range(10):
+            mech.detector.observe(POOL[20], LC.name, 0.0, LC.qos_target_ms * 2)
+        mech.run(0.0, {POOL[20]: {LC.name: LC}})  # column grows past 8
+        late = [node(n, 0, 8.0, 16384.0) for n in reversed(POOL)]
+        r_cpu, _ = sched._per_request_minima(LC, late)
+        expected = [LC.min_resources.cpu] * len(POOL)
+        expected[len(POOL) - 1 - 20] = LC.min_resources.cpu * config.increase_step
+        assert r_cpu.tolist() == expected
+        assert sched._per_request_minima(LC, early)[0].tolist() == (
+            [LC.min_resources.cpu] * 3
+        )
