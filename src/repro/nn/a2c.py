@@ -9,7 +9,8 @@ Architecture (per §5.3.2 of the paper):
 * the **critic** estimates the state value from the mean-pooled embedding
   through an MLP of the same shape;
 * invalid nodes are removed by the *policy context filter* (a 0/1 mask over
-  logits) before sampling;
+  logits) before sampling; the actor runs only on the rows the filter
+  admits, since the others get probability 0 whatever their score;
 * both networks are optimised with Adam at lr 2e-4.
 
 Training is batched: the agent stores transitions and, once
@@ -39,6 +40,20 @@ from .policy import (
 )
 
 __all__ = ["A2CAgent", "Transition", "A2CConfig"]
+
+
+def _admitted(mask: Optional[np.ndarray]):
+    """``mask`` as bool, and the rows the actor scores: those it admits.
+
+    The policy context filter gives every other row probability 0 whatever
+    its logit, so those logits are never computed.  With no mask, or one
+    admitting nothing (``masked_softmax`` then falls back to uniform over
+    all rows, and the gradient reaches every logit), all rows are scored.
+    """
+    if mask is None:
+        return None, slice(None)
+    mask = np.asarray(mask, dtype=bool)
+    return mask, (mask if mask.any() else slice(None))
 
 
 @dataclass
@@ -107,8 +122,8 @@ class A2CAgent:
     ) -> np.ndarray:
         """Masked action distribution over nodes (no caching for training)."""
         h = self.encoder.encode(features, adj)
-        logits = self.actor.forward(h)[:, 0]
-        return masked_softmax(logits, mask)
+        mask, rows = _admitted(mask)
+        return masked_softmax(self._logits(h, rows), mask)
 
     def act(
         self,
@@ -176,8 +191,8 @@ class A2CAgent:
         # Recompute forward with caching so backward is well defined.
         h = self.encoder.encode(transition.features, transition.adj)
         n = h.shape[0]
-        logits = self.actor.forward(h)[:, 0]
-        probs = masked_softmax(logits, transition.mask)
+        mask, rows = _admitted(transition.mask)
+        probs = masked_softmax(self._logits(h, rows), mask)
         pooled = h.mean(axis=0, keepdims=True)
         value = float(self.critic.forward(pooled)[0, 0])
         advantage = ret - value
@@ -188,7 +203,10 @@ class A2CAgent:
         )
         logit_grad -= self.cfg.entropy_coef * entropy_grad(probs)
         logit_grad *= weight
-        grad_h_actor = self.actor.backward(logit_grad[:, None])
+        # filtered rows have probability 0 and are never the action,
+        # hence logit gradient 0
+        grad_h_actor = np.zeros_like(h)
+        grad_h_actor[rows] = self.actor.backward(logit_grad[rows][:, None])
 
         # Critic: minimise value_coef * (ret - V)^2.
         value_grad = np.array([[2.0 * self.cfg.value_coef * (value - ret) * weight]])
@@ -198,6 +216,12 @@ class A2CAgent:
         self.encoder.backward(grad_h_actor + grad_h_critic)
         logp = np.log(max(probs[transition.action], 1e-300))
         return float(-logp * advantage * weight)
+
+    def _logits(self, h: np.ndarray, rows) -> np.ndarray:
+        """Actor logits of ``rows``; the other entries are left at 0."""
+        logits = np.zeros(h.shape[0])
+        logits[rows] = self.actor.forward(h[rows])[:, 0]
+        return logits
 
     def _zero_grads(self) -> None:
         for g in self.optimizer.grads:

@@ -6,27 +6,33 @@ ablates against GCN, GAT, and a plain MLP ("Native-A2C") in Fig. 11(d).
 
 All encoders share one computational form per layer::
 
-    H^{l+1} = relu(A_l @ H^l @ W_l + b_l)
+    H^{l+1} = relu(A_l H^l W_l + b_l)
 
-where ``A_l`` is a (row-stochastic or normalised) aggregation matrix built
-from the topology.  This makes forward and backward pure matrix algebra:
+where ``A_l`` is a (row-stochastic or normalised) aggregation operator built
+from the topology.  Each encoder supplies ``A_l`` through
+:meth:`GraphEncoder.aggregation_operator` and applies it (forward) and its
+transpose (backward) through two hooks, so forward and backward stay plain
+linear algebra:
 
-* **GraphSAGE** — row ``i`` of ``A`` averages over ``{i} ∪ sample_p(N(i))``;
-  the neighbour sample is redrawn per forward pass (inductive, per the paper).
+* **GraphSAGE** — row ``i`` of ``A`` averages over ``sample_p(N(i))``; the
+  neighbour sample is redrawn per forward pass (inductive, per the paper).
+  ``A`` is never materialised: it is an ``(n, p)`` neighbour-index table
+  with its weights, applied as a gather-and-weigh forward and a scatter-add
+  backward, so one layer costs O(n·p·F) and memory never grows as n².
 * **GCN** — symmetric normalisation ``D^-1/2 (A+I) D^-1/2`` over the full
-  neighbourhood (transductive; no sampling).
+  neighbourhood (transductive; no sampling), as a dense matrix.
 * **GAT** — attention coefficients ``softmax_j(leaky_relu(a^T [Wh_i || Wh_j]))``
-  computed per forward pass.  Gradients flow through the value path only; the
-  attention coefficients themselves are treated as constants in backward (a
-  straight-through simplification that preserves learning behaviour at this
-  scale and keeps the substrate small — documented here as a deliberate
-  deviation).
+  computed per forward pass, as a dense matrix.  Gradients flow through the
+  value path only; the attention coefficients themselves are treated as
+  constants in backward (a straight-through simplification that preserves
+  learning behaviour at this scale and keeps the substrate small —
+  documented here as a deliberate deviation).
 * **IdentityEncoder** — no aggregation; reproduces the "Native-A2C" ablation.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -71,6 +77,10 @@ class GraphEncoder(Layer):
       (A pure mean over ``{i} ∪ N(i)`` shrinks the self signal to ~(1/deg)^L
       after L hops, leaving the downstream actor unable to tell nodes of one
       LAN clique apart.)
+
+    Subclasses build ``A`` in :meth:`aggregation_operator`.  The base class
+    treats it as a dense (n, n) matrix; an encoder with another operator
+    form overrides :meth:`_aggregate` and :meth:`_aggregate_grad` as well.
     """
 
     separate_self = False
@@ -104,7 +114,7 @@ class GraphEncoder(Layer):
                 self.grads.append(np.zeros_like(ws))
         self.out_features = sizes[-1]
         # caches for backward
-        self._agg_mats: List[np.ndarray] = []
+        self._ops: list = []
         self._inputs: List[np.ndarray] = []
         self._selves: List[np.ndarray] = []
         self._masks: List[np.ndarray] = []
@@ -112,27 +122,36 @@ class GraphEncoder(Layer):
     def _stride(self) -> int:
         return 3 if self.separate_self else 2
 
-    # -- topology hook -------------------------------------------------- #
-    def aggregation_matrix(
+    # -- topology hooks ------------------------------------------------- #
+    def aggregation_operator(
         self, adj: List[List[int]], h: np.ndarray, layer: int
-    ) -> np.ndarray:  # pragma: no cover - abstract
+    ):  # pragma: no cover - abstract
+        """Layer ``layer``'s aggregation operator ``A`` for input ``h``."""
         raise NotImplementedError
+
+    def _aggregate(self, op, h: np.ndarray) -> np.ndarray:
+        """``A @ h``."""
+        return op @ h
+
+    def _aggregate_grad(self, op, g: np.ndarray) -> np.ndarray:
+        """``A.T @ g``: the gradient of :meth:`_aggregate` w.r.t. ``h``."""
+        return op.T @ g
 
     # -- forward/backward ------------------------------------------------ #
     def encode(self, features: np.ndarray, adj: List[List[int]]) -> np.ndarray:
         """Run all hops; caches intermediates for :meth:`backward`."""
         h = np.asarray(features, dtype=np.float64)
-        self._agg_mats, self._inputs, self._selves, self._masks = [], [], [], []
+        self._ops, self._inputs, self._selves, self._masks = [], [], [], []
         for layer, (w, b) in enumerate(zip(self.weights, self.biases)):
-            a = self.aggregation_matrix(adj, h, layer)
-            agg = a @ h
+            op = self.aggregation_operator(adj, h, layer)
+            agg = self._aggregate(op, h)
             z = agg @ w + b
             if self.separate_self:
                 z = z + h @ self.self_weights[layer]
                 self._selves.append(h)
             mask = z > 0.0
             new_h = z * mask
-            self._agg_mats.append(a)
+            self._ops.append(op)
             self._inputs.append(agg)
             self._masks.append(mask)
             h = new_h
@@ -141,27 +160,42 @@ class GraphEncoder(Layer):
     def forward(self, x: np.ndarray) -> np.ndarray:  # pragma: no cover
         raise TypeError("GraphEncoder needs a topology; call encode() instead")
 
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        """Backprop through all hops; accumulates into ``self.grads``."""
+    def backward(self, grad: np.ndarray) -> None:
+        """Backprop through all hops; accumulates into ``self.grads``.
+
+        Stops at layer 0: the input features take no gradient, so nothing
+        is propagated past the first layer and nothing is returned.
+        """
         stride = self._stride()
         for layer in range(len(self.weights) - 1, -1, -1):
             grad = grad * self._masks[layer]
             self.grads[stride * layer] += self._inputs[layer].T @ grad
             self.grads[stride * layer + 1] += grad.sum(axis=0)
-            grad_h = self._agg_mats[layer].T @ (grad @ self.weights[layer].T)
             if self.separate_self:
                 self.grads[stride * layer + 2] += self._selves[layer].T @ grad
+            if layer == 0:
+                break
+            grad_h = self._aggregate_grad(
+                self._ops[layer], grad @ self.weights[layer].T
+            )
+            if self.separate_self:
                 grad_h = grad_h + grad @ self.self_weights[layer].T
             grad = grad_h
-        return grad
 
 
 class GraphSAGEEncoder(GraphEncoder):
     """GraphSAGE with neighbour sampling (Eq. 9: p samples, L=2 hops).
 
-    Uses the CONCAT layer form (``separate_self``): the aggregation matrix
-    means over the *sampled neighbours only*, and the node's own vector takes
-    the dedicated self-weight path.
+    Uses the CONCAT layer form (``separate_self``): aggregation means over
+    the *sampled neighbours only*, and the node's own vector takes the
+    dedicated self-weight path.
+
+    The aggregation operator is an index pair ``(idx, wts)``, both (n, p):
+    row ``i`` of ``A @ h`` is ``sum_k wts[i, k] * h[idx[i, k]]``.  A row of
+    degree d ≤ p holds all its neighbours at weight 1/d (zero-weight padding
+    after them; an isolated row is all padding, so only its self path
+    contributes), and a row of degree d > p holds the p drawn neighbours at
+    weight 1/p.  A neighbour listed twice is simply gathered twice.
     """
 
     separate_self = True
@@ -180,17 +214,19 @@ class GraphSAGEEncoder(GraphEncoder):
         #: id(adj) -> sampling plan.  Each plan pins its adjacency list so
         #: ``id()`` reuse cannot alias entries; the topology must not be
         #: mutated in place between encode calls (degree changes are
-        #: detected, same-degree rewires are not).
+        #: detected, same-degree rewires are not).  A plan is O(n·p + E).
         self._plan_cache: dict = {}
         super().__init__(in_features, hidden, rng)
 
     def _sampling_plan(self, adj: List[List[int]]) -> dict:
         """Precompute everything about ``adj`` that sampling reuses.
 
-        * ``template`` — the aggregation matrix with every row of degree
-          ≤ p already filled (those rows never change between draws);
-        * ``sampled`` — the ``(row, neighbours, degree)`` triples that do
-          need a fresh sample each pass;
+        * ``idx``/``wts`` — the (n, p) operator with every row of degree
+          ≤ p already filled (those rows never change between draws) and
+          the sampled rows already weighted 1/p;
+        * ``rows`` — the rows that need a fresh sample each pass, with
+          ``bases`` (d - p per row) and their neighbour lists concatenated
+          in ``flat`` from offsets ``starts``;
         * ``bounds`` — the exclusive upper bounds of every uniform draw
           `choice(d, size=p, replace=False)` makes, concatenated across
           sampled rows: Floyd's algorithm draws ``integers(0, j+1)`` for
@@ -198,72 +234,61 @@ class GraphSAGEEncoder(GraphEncoder):
           ``integers(0, i+1)`` for ``i = p-1 .. 1``.
         """
         key = id(adj)
+        degrees = [len(x) for x in adj]
         plan = self._plan_cache.get(key)
-        if plan is not None and plan["adj"] is adj:
-            if plan["degrees"] == [len(x) for x in adj]:
-                return plan
-        n = len(adj)
+        if plan is not None and plan["adj"] is adj and plan["degrees"] == degrees:
+            return plan
         p = self.sample_size
-        template = np.zeros((n, n))
+        idx = np.zeros((len(adj), p), dtype=np.int64)
+        wts = np.zeros((len(adj), p))
         rows: List[int] = []
-        degrees_sampled: List[int] = []
-        neigh_rows: List[List[int]] = []
+        starts: List[int] = []
+        flat: List[int] = []
         bounds: List[int] = []
-        max_d = 0
         for i, neigh in enumerate(adj):
             d = len(neigh)
             if d > p:
                 rows.append(i)
-                degrees_sampled.append(d)
-                neigh_rows.append(neigh)
+                starts.append(len(flat))
+                flat.extend(neigh)
                 bounds.extend(range(d - p + 1, d + 1))
                 bounds.extend(range(p, 1, -1))
-                max_d = max(max_d, d)
             elif d:
-                weight = 1.0 / d
-                row = template[i]
-                for j in neigh:
-                    row[j] += weight
-            # isolated node: only the self path contributes
-        # padded neighbour table so sampled indices gather in one shot
-        neigh_pad = np.zeros((len(rows), max_d), dtype=np.int64)
-        for r, neigh in enumerate(neigh_rows):
-            neigh_pad[r, : len(neigh)] = neigh
+                idx[i, :d] = neigh
+                wts[i, :d] = 1.0 / d
+        wts[rows] = 1.0 / p
         plan = {
             "adj": adj,
-            "degrees": [len(x) for x in adj],
-            "template": template,
+            "degrees": degrees,
+            "idx": idx,
+            "wts": wts,
             "rows": np.asarray(rows, dtype=np.int64),
-            "bases": np.asarray(degrees_sampled, dtype=np.int64) - p,
-            "neigh_pad": neigh_pad,
+            "bases": np.asarray([degrees[i] - p for i in rows], dtype=np.int64),
+            "starts": np.asarray(starts, dtype=np.int64),
+            "flat": np.asarray(flat, dtype=np.int64),
             "bounds": np.asarray(bounds, dtype=np.int64),
-            # with unique neighbour lists a sample never scatters twice into
-            # one cell, so plain fancy assignment replaces np.add.at.
-            "unique_neigh": all(
-                len(set(neigh)) == len(neigh) for neigh in neigh_rows
-            ),
         }
         if len(self._plan_cache) >= 64:
             self._plan_cache.clear()
         self._plan_cache[key] = plan
         return plan
 
-    def aggregation_matrix(
+    def aggregation_operator(
         self, adj: List[List[int]], h: np.ndarray, layer: int
-    ) -> np.ndarray:
-        """Mean over p sampled neighbours, via one batched RNG call.
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """``(idx, wts)`` of a fresh p-neighbour sample, via one RNG call.
 
         Replays ``Generator.choice(d, size=p, replace=False)`` exactly —
         Floyd's sampler followed by a Fisher-Yates output shuffle — against
         a single vectorised ``integers`` draw, so the RNG stream and the
-        resulting matrix are bit-identical to the per-row ``choice`` loop
+        sampled neighbour sets are identical to the per-row ``choice`` loop
         (asserted across seeds by ``tests/test_gnn.py``).  The shuffle
         draws are consumed but their permutation is ignored: every sampled
-        neighbour carries the same 1/p weight, so row sums don't depend on
-        sample order.
+        neighbour carries the same 1/p weight, so the aggregate doesn't
+        depend on sample order.
         """
         plan = self._sampling_plan(adj)
-        a = plan["template"].copy()
+        idx = plan["idx"]
         bounds = plan["bounds"]
         if bounds.size:
             p = self.sample_size
@@ -280,19 +305,30 @@ class GraphSAGEEncoder(GraphEncoder):
                 col = chosen[:, k]
                 hit = (chosen[:, :k] == col[:, None]).any(axis=1)
                 col[hit] = bases[hit] + k
-            cols = np.take_along_axis(plan["neigh_pad"], chosen, axis=1)
-            flat = np.repeat(rows * a.shape[1], p) + cols.ravel()
-            if plan["unique_neigh"]:
-                a.ravel()[flat] = 1.0 / p
-            else:
-                np.add.at(a.ravel(), flat, 1.0 / p)
-        return a
+            idx = idx.copy()
+            idx[rows] = plan["flat"][plan["starts"][:, None] + chosen]
+        return idx, plan["wts"]
+
+    def _aggregate(self, op, h: np.ndarray) -> np.ndarray:
+        idx, wts = op
+        return np.einsum("np,npf->nf", wts, h[idx])
+
+    def _aggregate_grad(self, op, g: np.ndarray) -> np.ndarray:
+        # scatter-add of wts[i, k] * g[i] into row idx[i, k], as one
+        # bincount over flattened (node, feature) keys
+        idx, wts = op
+        n, f = g.shape
+        keys = (idx * f)[:, :, None] + np.arange(f)
+        vals = wts[:, :, None] * g[:, None, :]
+        return np.bincount(
+            keys.ravel(), vals.ravel(), minlength=n * f
+        ).reshape(n, f)
 
 
 class GCNEncoder(GraphEncoder):
     """Kipf-Welling GCN: ``D^-1/2 (A+I) D^-1/2`` aggregation, no sampling."""
 
-    def aggregation_matrix(
+    def aggregation_operator(
         self, adj: List[List[int]], h: np.ndarray, layer: int
     ) -> np.ndarray:
         n = len(adj)
@@ -324,7 +360,7 @@ class GATEncoder(GraphEncoder):
             rng.normal(0.0, 0.1, size=(2 * fin,)) for fin in sizes[:-1]
         ]
 
-    def aggregation_matrix(
+    def aggregation_operator(
         self, adj: List[List[int]], h: np.ndarray, layer: int
     ) -> np.ndarray:
         n = len(adj)
@@ -349,7 +385,7 @@ class GATEncoder(GraphEncoder):
 class IdentityEncoder(GraphEncoder):
     """No message passing — reduces the actor to a plain MLP (Native-A2C)."""
 
-    def aggregation_matrix(
+    def aggregation_operator(
         self, adj: List[List[int]], h: np.ndarray, layer: int
     ) -> np.ndarray:
         return np.eye(len(adj))

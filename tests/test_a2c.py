@@ -1,8 +1,11 @@
 """A2C agent tests: action validity, learning signal, masking."""
 
+import copy
+
 import numpy as np
 import pytest
 
+from repro.nn import a2c
 from repro.nn.a2c import A2CAgent, A2CConfig, Transition
 from repro.nn.gnn import IdentityEncoder, adjacency_from_edges
 
@@ -132,6 +135,60 @@ class TestLearning:
             agent.record(Transition(feats, ring(4), mask, a, 0.5))
         p = agent.action_probs(feats, ring(4), mask)
         assert p[2] == 0.0
+
+
+#: policy context filters over 7 nodes; "int01" is a 0/1 integer mask
+FILTERS = {
+    "partial": np.array([1, 0, 1, 1, 0, 0, 1], dtype=bool),
+    "all_true": np.ones(7, dtype=bool),
+    "all_false": np.zeros(7, dtype=bool),
+    "int01": np.array([0, 1, 1, 0, 0, 1, 0]),
+}
+
+
+def score_all_rows(mask):
+    """Full-row reference for ``a2c._admitted``: the actor scores every row."""
+    return (None if mask is None else np.asarray(mask, dtype=bool)), slice(None)
+
+
+class TestFilteredRows:
+    """The actor runs only on admitted rows, exactly as if it ran on all."""
+
+    @pytest.mark.parametrize("name", sorted(FILTERS))
+    def test_matches_full_row_reference(self, name, monkeypatch):
+        mask = FILTERS[name]
+        cfg = A2CConfig(
+            hidden_actor=(16, 8),
+            hidden_critic=(16, 8),
+            encoder_hidden=(8, 8),
+        )
+        agent = A2CAgent(4, np.random.default_rng(3), config=cfg)
+        ref = copy.deepcopy(agent)
+        data = np.random.default_rng(11)
+        feats = [data.normal(size=(7, 4)) for _ in range(4)]
+        adj = ring(7)
+        choices = np.flatnonzero(mask) if mask.any() else np.arange(7)
+        batch = [
+            Transition(f, adj, mask, int(choices[i % len(choices)]), float(i))
+            for i, f in enumerate(feats)
+        ]
+
+        probs = [agent.action_probs(f, adj, mask) for f in feats]
+        scored = agent.actor.layers[0]._x.shape[0]
+        agent.train_on(batch)
+        monkeypatch.setattr(a2c, "_admitted", score_all_rows)
+        ref_probs = [ref.action_probs(f, adj, mask) for f in feats]
+        ref.train_on(batch)
+
+        assert scored == (mask.sum() if mask.any() else 7)
+        for got, want in zip(probs, ref_probs):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+            if mask.any():
+                assert np.all(got[mask == 0] == 0.0)
+        # gradients span many magnitudes: compare each at its own scale
+        for got, want in zip(agent.optimizer.grads, ref.optimizer.grads):
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        assert any(np.abs(g).sum() > 0 for g in agent.encoder.grads)
 
 
 class TestPersistence:
