@@ -88,9 +88,6 @@ class ReassuranceMechanism:
         self._columns: Dict[str, np.ndarray] = {}
         self._last_run_ms: float = -1e18
         self.adjustments = {LEVEL_POOR: 0, LEVEL_EXCELLENT: 0, LEVEL_STABLE: 0}
-        #: observability bus; assigned by the runner, None when disabled
-        #: (kept for introspection — emissions go through the emitter).
-        self.bus = None
         #: lifecycle emitter; rewired by the runner, null when standalone.
         self.emitter = NULL_EMITTER
         #: last known level per (node, service); only maintained when the

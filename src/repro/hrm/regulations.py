@@ -76,9 +76,6 @@ class HRMManager:
         self._dvpa: Dict[str, DVPA] = {}
         self.preemption_squeezes = 0
         self.preemption_evictions = 0
-        #: observability bus; assigned by the runner, None when disabled
-        #: (kept for introspection — emissions go through the emitter).
-        self.bus = None
         #: lifecycle emitter; rewired by the runner, null when standalone.
         self.emitter = NULL_EMITTER
 

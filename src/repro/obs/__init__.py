@@ -4,10 +4,9 @@ Three pillars (wired together by :class:`repro.obs.hub.ObservabilityHub`):
 
 * :mod:`repro.obs.bus` — a structured, ring-buffered **event bus**.  The
   runner, both Tango schedulers, the HRM modules, and the failure injector
-  publish typed events (:mod:`repro.obs.events`); the legacy sinks — the
-  kube :class:`~repro.kube.events.EventRecorder`, the
-  :class:`~repro.metrics.collectors.PeriodCollector`, and the stage
-  profiler — consume them as subscribers (:mod:`repro.obs.bridges`).
+  publish typed events (:mod:`repro.obs.events`); the kube
+  :class:`~repro.kube.events.EventRecorder` audit stream and the metric
+  registry consume them as subscribers (:mod:`repro.obs.bridges`).
 * :mod:`repro.obs.tracing` — **request-lifecycle tracing**: every
   :class:`~repro.sim.request.ServiceRequest` gets a span chain
   (arrival → schedule → ship → queue → execute → complete/abandon/evict)
@@ -15,13 +14,16 @@ Three pillars (wired together by :class:`repro.obs.hub.ObservabilityHub`):
 * :mod:`repro.obs.metrics` — a **metric registry** (counters, gauges,
   histograms) with JSONL and Prometheus-text exporters.
 
-The whole layer is opt-in (``RunnerConfig(observe=True)``) and a strict
-no-op when disabled: publishers hold a ``bus`` attribute that defaults to
-``None`` and skip event construction entirely, so the PR 1 determinism
-fingerprints and the bench gate are unaffected.
+The whole layer is opt-in (``RunnerConfig(observe=True)``) and a no-op
+when disabled: publishers hold an ``emitter`` (:mod:`repro.obs.emitter`)
+that only builds and publishes events when a bus exists.  The run's
+:class:`~repro.metrics.collectors.PeriodCollector` is fed by direct
+emitter calls in every mode, so RunMetrics fingerprints do not depend on
+whether observability is on.
 """
 
 from repro.obs.bus import EventBus
+from repro.obs.hub import ObservabilityHub
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricRegistry
 from repro.obs.tracing import RequestTrace, RequestTracer, Span
 
@@ -37,14 +39,3 @@ __all__ = [
     "Span",
 ]
 
-
-def __getattr__(name):
-    # The hub (and its bridges) import the legacy sinks, which sit above
-    # several packages that themselves publish to the bus.  Loading it
-    # lazily keeps ``repro.obs.events``/``bus`` importable from anywhere
-    # in the dependency graph without a cycle.
-    if name == "ObservabilityHub":
-        from repro.obs.hub import ObservabilityHub
-
-        return ObservabilityHub
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

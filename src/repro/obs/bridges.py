@@ -1,19 +1,14 @@
-"""Bridges re-homing the legacy telemetry sinks as bus subscribers.
+"""Bus subscribers that fold the typed event stream into sinks.
 
-Before the bus existed the runner called three disconnected sinks
-directly: the kube :class:`EventRecorder` (audit stream), the
-:class:`PeriodCollector` (experiment metrics), and the stage profiler.
-Each bridge subscribes one of them to the typed event stream instead, so
-every sink sees the exact same call sequence it used to receive — the
-collector bridge in particular replays ``on_arrival`` / ``on_completion``
-/ ``on_abandon`` / ``on_eviction`` in publication order, which keeps run
-fingerprints bit-identical with observability on or off.
+* :class:`KubeEventBridge` renders events into the kubectl-style
+  :class:`EventRecorder` audit stream;
+* :class:`MetricsSubscriber` folds them into registry counters and
+  histograms.
 """
 
 from __future__ import annotations
 
 from repro.kube.events import EventRecorder, Reason
-from repro.metrics.collectors import PeriodCollector
 from repro.obs.bus import EventBus
 from repro.obs.events import (
     BESqueezed,
@@ -34,42 +29,7 @@ from repro.obs.events import (
 )
 from repro.obs.metrics import MetricRegistry
 
-__all__ = ["CollectorBridge", "KubeEventBridge", "MetricsSubscriber"]
-
-
-class CollectorBridge:
-    """Feeds a :class:`PeriodCollector` from lifecycle events.
-
-    The collector remains the source of the run's :class:`RunMetrics`; the
-    bridge only changes *how* it is driven (publish → handler instead of a
-    direct method call at the same program point).
-    """
-
-    def __init__(self, collector: PeriodCollector, bus: EventBus) -> None:
-        self.collector = collector
-        bus.subscribe_many(
-            {
-                RequestArrived: self._on_arrived,
-                RequestCompleted: self._on_completed,
-                RequestAbandoned: self._on_abandoned,
-                RequestEvicted: self._on_evicted,
-            }
-        )
-
-    def _on_arrived(self, ev: RequestArrived) -> None:
-        self.collector.on_arrival(ev.request)
-
-    def _on_completed(self, ev: RequestCompleted) -> None:
-        self.collector.on_completion(ev.request)
-
-    def _on_abandoned(self, ev: RequestAbandoned) -> None:
-        self.collector.on_abandon(ev.request)
-
-    def _on_evicted(self, ev: RequestEvicted) -> None:
-        # Crash-displaced BE never hit the eviction counters in the direct
-        # path (only HRM preemptions do), so the bridge preserves that.
-        if ev.cause == "preemption":
-            self.collector.on_eviction(ev.request)
+__all__ = ["KubeEventBridge", "MetricsSubscriber"]
 
 
 class KubeEventBridge:

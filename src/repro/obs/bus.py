@@ -3,13 +3,13 @@
 Design constraints, in order:
 
 1. **Deterministic.**  Dispatch is synchronous and in publication order;
-   subscribers for a type run in subscription order.  Replacing a direct
-   sink call with a publish therefore reproduces the exact same sink-call
-   sequence, which is what lets the runner route its metrics collector
-   through the bus without moving a single fingerprint bit.
+   subscribers for a type run in subscription order.  The bus is a pure
+   tee: the run's metrics collector is fed directly by the emitter, never
+   through a subscription, so no subscriber can move a fingerprint bit.
 2. **Cheap.**  A publish is one deque append plus a cached handler-list
-   walk.  Publishers that hold no bus (``bus is None``) skip event
-   construction entirely, so the disabled path costs one identity check.
+   walk.  Without a bus the runner wires a
+   :class:`~repro.obs.emitter.DirectEmitter`, which never constructs an
+   event at all.
 3. **Bounded.**  The ring buffer keeps the last ``capacity`` events for
    retrospective queries (``bus.events()``); subscribers always see every
    event regardless of ring evictions.

@@ -1,28 +1,19 @@
 """Lifecycle emitters — the null-object seam between sim layers and obs.
 
-PR 2 taught every publisher (runner stages, DSS-LC, DCG-BE, HRM, the
-failure injector, re-assurance) the same dance::
-
-    if self.bus is None:
-        sink(...)          # direct collector call, or nothing
-    else:
-        self.bus.publish(SomeEvent(...))
-
-which scatters the observe on/off decision across five modules and builds
-event dataclasses on hot paths only to decide afterwards whether anyone
-listens.  An *emitter* collapses both branches into one always-valid
-object with a typed method per event taking raw arguments:
+Every publisher (runner stages, DSS-LC, DCG-BE, HRM, the failure
+injector, re-assurance) holds one ``emitter`` and calls a typed method per
+event with raw arguments, so no publisher decides whether anyone listens
+and no event dataclass is built unless a bus exists:
 
 * :class:`NullEmitter` — discard everything.  The default for standalone
   components (a scheduler or manager constructed outside a runner).
-* :class:`DirectEmitter` — the observe-off runner path: the four request
-  outcomes that feed :class:`~repro.metrics.collectors.PeriodCollector`
-  are forwarded straight to it, everything else is discarded.  No event
-  object is ever constructed, so the disabled path stays as cheap as the
-  pre-emitter code.
-* :class:`BusEmitter` — the observe-on path: construct the typed event
-  and publish it on the bus; bridges replay the identical collector call
-  sequence, keeping RunMetrics fingerprints bit-identical.
+* :class:`DirectEmitter` — the runner's feed of
+  :class:`~repro.metrics.collectors.PeriodCollector`: the four request
+  outcomes are forwarded straight to it, everything else is discarded.
+* :class:`BusEmitter` — a :class:`DirectEmitter` that also publishes the
+  typed event on the bus.  The collector is fed by the same direct calls
+  in every mode, so the bus is a pure tee and RunMetrics cannot depend on
+  whether observability is on.
 
 ``emitter.enabled`` tells publishers whether anyone is listening, for the
 rare cases that keep side state only to enrich events (e.g. re-assurance
@@ -169,11 +160,10 @@ NULL_EMITTER = NullEmitter()
 
 
 class DirectEmitter(NullEmitter):
-    """Observe-off runner path: request outcomes feed the collector directly.
+    """Request outcomes feed the collector directly; nothing is published.
 
-    Matches the pre-emitter direct path exactly: only the four collector
-    hooks fire, and evictions count only when caused by preemption (the
-    collector bridge applies the same filter on the bus path).
+    Only the four collector hooks fire, and evictions count only when
+    caused by preemption (crash-displaced BE is not an eviction).
     """
 
     enabled = False
@@ -197,16 +187,19 @@ class DirectEmitter(NullEmitter):
             self.collector.on_eviction(request)
 
 
-class BusEmitter(NullEmitter):
-    """Observe-on path: build the typed event and publish it."""
+class BusEmitter(DirectEmitter):
+    """Feed the collector like :class:`DirectEmitter`, then publish the
+    typed event on the bus."""
 
     enabled = True
 
-    def __init__(self, bus) -> None:
+    def __init__(self, collector, bus) -> None:
+        super().__init__(collector)
         self.bus = bus
 
     # -- request lifecycle --------------------------------------------- #
     def arrival(self, time_ms: float, request: Any) -> None:
+        super().arrival(time_ms, request)
         self.bus.publish(
             RequestArrived(
                 time_ms=time_ms,
@@ -254,6 +247,7 @@ class BusEmitter(NullEmitter):
         )
 
     def completed(self, time_ms: float, request: Any, node: str) -> None:
+        super().completed(time_ms, request, node)
         self.bus.publish(
             RequestCompleted(
                 time_ms=time_ms,
@@ -268,6 +262,7 @@ class BusEmitter(NullEmitter):
         )
 
     def abandoned(self, time_ms: float, request: Any, where: str) -> None:
+        super().abandoned(time_ms, request, where)
         self.bus.publish(
             RequestAbandoned(
                 time_ms=time_ms,
@@ -281,6 +276,7 @@ class BusEmitter(NullEmitter):
     def evicted(
         self, time_ms: float, request: Any, node: str, cause: str
     ) -> None:
+        super().evicted(time_ms, request, node, cause)
         self.bus.publish(
             RequestEvicted(
                 time_ms=time_ms,

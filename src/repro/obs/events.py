@@ -3,8 +3,8 @@
 Every event is a small dataclass with a class-level ``kind`` string in
 ``domain.verb`` form (``request.scheduled``, ``failure.partition``, …).
 Request-lifecycle events additionally carry a ``request`` reference for
-in-process subscribers (the metrics collector bridge and the tracer read
-timestamps straight off the live object); :meth:`Event.to_dict` excludes
+in-process subscribers (the request tracer reads timestamps straight off
+the live object); :meth:`Event.to_dict` excludes
 it so every event serialises to plain JSON scalars.
 
 The taxonomy (one class per row):

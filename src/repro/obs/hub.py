@@ -6,8 +6,6 @@ attaches whichever consumers the run asked for:
 
 * the :class:`RequestTracer` and :class:`MetricsSubscriber` when tracing /
   metrics are on,
-* a :class:`CollectorBridge` for the run's :class:`PeriodCollector` (so
-  the experiment metrics are driven through the bus),
 * a :class:`KubeEventBridge` for the kubectl-style audit stream when the
   run records events.
 
@@ -22,7 +20,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Iterable, Optional
 
-from repro.obs.bridges import CollectorBridge, KubeEventBridge, MetricsSubscriber
+from repro.obs.bridges import KubeEventBridge, MetricsSubscriber
 from repro.obs.bus import EventBus
 from repro.obs.events import PeriodSampled, StageProfile
 from repro.obs.metrics import MetricRegistry
@@ -55,18 +53,12 @@ class ObservabilityHub:
         if metrics:
             self.registry = MetricRegistry()
             self._metrics_sub = MetricsSubscriber(self.registry, self.bus)
-        self.collector_bridge: Optional[CollectorBridge] = None
         self.recorder_bridge: Optional[KubeEventBridge] = None
         self.periods = 0
 
     # ------------------------------------------------------------------ #
     # sink attachment
     # ------------------------------------------------------------------ #
-    def attach_collector(self, collector) -> CollectorBridge:
-        """Route the run's :class:`PeriodCollector` through the bus."""
-        self.collector_bridge = CollectorBridge(collector, self.bus)
-        return self.collector_bridge
-
     def attach_recorder(self, recorder) -> KubeEventBridge:
         """Subscribe a kube :class:`EventRecorder` to the event stream."""
         self.recorder_bridge = KubeEventBridge(recorder, self.bus)

@@ -122,9 +122,6 @@ class DCGBEScheduler:
         self._completion_mass = 0.0
         self.decisions = 0
         self.requeues = 0
-        #: observability bus; assigned by the runner, None when disabled
-        #: (kept for introspection — emissions go through the emitter).
-        self.bus = None
         #: lifecycle emitter; rewired by the runner, null when standalone.
         self.emitter = NULL_EMITTER
         #: per-snapshot static state: (snapshot, adj, clamped totals, and

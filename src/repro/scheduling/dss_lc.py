@@ -175,9 +175,6 @@ class DSSLCScheduler:
         self._priorities: Dict[int, PriorityPolicy] = {}
         self.decision_latencies_ms: List[float] = []
         self.case2_rounds = 0
-        #: observability bus; assigned by the runner, None when disabled
-        #: (kept for introspection — emissions go through the emitter).
-        self.bus = None
         #: lifecycle emitter; rewired by the runner, null when standalone.
         self.emitter = NULL_EMITTER
         #: MCMF objective accumulated across the current round's solves.

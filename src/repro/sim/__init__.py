@@ -4,7 +4,6 @@ from .engine import Clock, DeliveryQueue, TICK_MS
 from .failures import FailureConfig, FailureEvent, FailureInjector
 from .latency import LatencyModel, speed_factor
 from .pressure import PressurePoint, PressureTester, TableLatencyModel
-from .validation import InvariantChecker, InvariantViolation
 from .request import RequestState, ServiceRequest
 
 __all__ = [
@@ -23,8 +22,6 @@ __all__ = [
     "PressureTester",
     "PressurePoint",
     "TableLatencyModel",
-    "InvariantChecker",
-    "InvariantViolation",
 ]
 
 

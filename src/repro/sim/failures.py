@@ -72,9 +72,6 @@ class FailureInjector:
         #: read by the failures stage to purge per-node derived state
         #: (QoS windows, re-assurance minima) that outlives the crash.
         self.last_crashed: List[str] = []
-        #: observability bus; assigned by the runner, None when disabled
-        #: (kept for introspection — emissions go through the emitter).
-        self.bus = None
         #: lifecycle emitter; rewired by the runner, null when standalone.
         self.emitter = NULL_EMITTER
 

@@ -10,11 +10,13 @@ Every tick (opt-in via ``RunnerConfig.check_invariants``) the
     Every arrived request is in exactly one place: a master queue, the
     in-flight delivery queues, the central BE buffer, a node queue, the
     running set, or it is completed/abandoned/dropped (Fig. 11(b)
-    accounting).  Also checks per-location state tags and that requests in
-    master queues carry no stale placement fields.
+    accounting), and no more LC requests met QoS than completed.  Also
+    checks per-location state tags and that requests in master queues
+    carry no stale placement fields.
 ``node-resources``
     Per worker: no negative allocations, allocations within capacity, and
-    the per-request allocations sum to the node's bookkept total.
+    the per-request allocations sum to the node's bookkept total in all
+    four dimensions (cpu, memory, bandwidth, disk).
 ``dvpa-limits``
     Per (node, service): the resources the service's containers actually
     hold never exceed the D-VPA pod limit (§4.2 cgroup flows).  Inequality,
@@ -255,6 +257,11 @@ class RuntimeInvariantChecker:
                 f"(crash share {ctx.crash_abandoned}) + live={live_lc} "
                 f"= {lc_accounted}"
             )
+        if m.lc_satisfied > m.lc_completed:
+            bad(
+                f"LC satisfied={m.lc_satisfied} exceeds "
+                f"completed={m.lc_completed}"
+            )
         be_accounted = m.be_completed + ctx.dropped_be + live_be
         if m.be_arrived != be_accounted:
             bad(
@@ -271,41 +278,41 @@ class RuntimeInvariantChecker:
     ) -> None:
         now = ctx.now_ms
         for worker in ctx.worker_list:
-            allocated = worker.allocated
+            cpu = mem = bw = disk = 0.0
+            for rr in worker.running.values():
+                a = rr.allocation
+                cpu += a.cpu
+                mem += a.memory
+                bw += a.bandwidth
+                disk += a.disk
+            book = worker.allocated
             capacity = worker.capacity
-            for dim in ("cpu", "memory", "bandwidth", "disk"):
-                used = getattr(allocated, dim)
-                cap = getattr(capacity, dim)
-                if used < -_RES_TOL:
+            for dim, booked, cap, total in (
+                ("cpu", book.cpu, capacity.cpu, cpu),
+                ("memory", book.memory, capacity.memory, mem),
+                ("bandwidth", book.bandwidth, capacity.bandwidth, bw),
+                ("disk", book.disk, capacity.disk, disk),
+            ):
+                if booked < -_RES_TOL:
                     out.append(
                         Violation(
                             "node-resources",
                             now,
-                            f"negative {dim} allocation {used:.9f}",
+                            f"negative {dim} allocation {booked:.9f}",
                             node=worker.name,
                         )
                     )
-                if used > cap + _RES_TOL:
+                if booked > cap + _RES_TOL:
                     out.append(
                         Violation(
                             "node-resources",
                             now,
-                            f"{dim} allocation {used:.6f} exceeds capacity "
+                            f"{dim} allocation {booked:.6f} exceeds capacity "
                             f"{cap:.6f}",
                             node=worker.name,
                         )
                     )
-            total_cpu = sum(
-                rr.allocation.cpu for rr in worker.running.values()
-            )
-            total_mem = sum(
-                rr.allocation.memory for rr in worker.running.values()
-            )
-            for dim, total in (("cpu", total_cpu), ("memory", total_mem)):
-                booked = getattr(allocated, dim)
-                if abs(total - booked) > _RES_TOL * max(
-                    1.0, abs(booked)
-                ):
+                if abs(total - booked) > _RES_TOL * max(1.0, abs(booked)):
                     out.append(
                         Violation(
                             "node-resources",

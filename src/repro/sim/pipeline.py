@@ -87,7 +87,6 @@ class SimContext:
     be_distributed: bool = False
     reassurance: Any = None
     injector: Any = None
-    checker: Any = None
     hub: Any = None
     sample_gauges: bool = False
     #: runtime invariant checker (None unless check_invariants is on).
@@ -419,13 +418,11 @@ class ReassureStage(Stage):
 
 
 class MetricsStage(Stage):
-    """Invariant checking + the 800 ms period sampler."""
+    """The 800 ms period sampler."""
 
     name = "metrics"
 
     def run(self, ctx: SimContext) -> None:
-        if ctx.checker is not None:
-            ctx.checker.check(ctx.now_ms, ctx.collector.metrics)
         period_end = ctx.now_ms + ctx.config.tick_ms
         if ctx.collector.maybe_sample(period_end) and ctx.sample_gauges:
             ctx.hub.sample_period(

@@ -32,6 +32,7 @@ from repro.cluster.topology import EdgeCloudSystem
 from repro.core.state_storage import StateStorage
 from repro.kube.events import EventRecorder
 from repro.obs.emitter import BusEmitter, DirectEmitter
+from repro.obs.hub import ObservabilityHub
 from repro.sim.checkpoint import (
     CHECKPOINT_VERSION,
     RunnerCheckpoint,
@@ -83,8 +84,6 @@ class RunnerConfig:
     obs_ring_capacity: int = 4096
     #: max traces held in memory (oldest finished evicted first).
     trace_capacity: int = 100_000
-    #: run the invariant checker every tick (a few % overhead; CI uses it).
-    validate: bool = False
     #: run the runtime conservation-law checker every tick
     #: (:mod:`repro.sim.invariants`): request conservation, node resource
     #: accounting, D-VPA limit sums, snapshot coherence, and DSS-LC
@@ -136,15 +135,12 @@ class SimulationRunner:
         # --- observability ------------------------------------------------
         # The hub exists when anything consumes events (tracing/metrics via
         # ``observe``, or the kube audit stream via ``record_events``).
-        # When it does, the emitter publishes typed events INSTEAD of
-        # calling the sinks directly and bridges replay the identical call
-        # sequence, so run fingerprints match the direct path bit for bit.
+        # The emitter feeds the collector directly in every mode; with a
+        # hub it also publishes each event, so the bus is a pure tee.
         self.hub = None
         self.bus = None
         self.events: Optional[EventRecorder] = None
         if self.config.observe or self.config.record_events:
-            from repro.obs.hub import ObservabilityHub
-
             self.hub = ObservabilityHub(
                 ring_capacity=self.config.obs_ring_capacity,
                 trace=self.config.observe,
@@ -152,7 +148,6 @@ class SimulationRunner:
                 trace_capacity=self.config.trace_capacity,
             )
             self.bus = self.hub.bus
-            self.hub.attach_collector(self.collector)
             if self.config.record_events:
                 self.events = EventRecorder(
                     capacity=self.config.event_capacity,
@@ -160,16 +155,11 @@ class SimulationRunner:
                 )
                 self.hub.attach_recorder(self.events)
         self.emitter = (
-            BusEmitter(self.bus)
+            BusEmitter(self.collector, self.bus)
             if self.bus is not None
             else DirectEmitter(self.collector)
         )
         self._wire_publishers()
-        self.checker = None
-        if self.config.validate:
-            from repro.sim.validation import InvariantChecker
-
-            self.checker = InvariantChecker(system)
         self.invariants = None
         if self.config.check_invariants:
             from repro.sim.invariants import RuntimeInvariantChecker
@@ -203,7 +193,6 @@ class SimulationRunner:
             be_distributed=getattr(be_scheduler, "distributed", False),
             reassurance=reassurance,
             injector=self.injector,
-            checker=self.checker,
             invariants=self.invariants,
             hub=self.hub,
             sample_gauges=self.hub is not None and self.config.observe,
@@ -216,10 +205,10 @@ class SimulationRunner:
         )
 
     def _wire_publishers(self) -> None:
-        """Hand the bus + emitter to every publisher exactly once.
+        """Hand the emitter to every publisher exactly once.
 
         Schedulers, managers, and the re-assurance mechanism are owned by
-        the system builder and reused across runs, so the references are
+        the system builder and reused across runs, so the reference is
         always (re)assigned — a disabled run must not inherit a previous
         run's bus.  Publishers are deduplicated by identity (a dual-role
         scheduler like DSACO appears as both LC and BE; one manager object
@@ -238,7 +227,6 @@ class SimulationRunner:
             if id(publisher) in seen:
                 continue
             seen.add(id(publisher))
-            publisher.bus = self.bus
             publisher.emitter = self.emitter
 
     # ------------------------------------------------------------------ #

@@ -104,6 +104,16 @@ class TestConservationLaw:
         laws = {v.law for v in exc.value.violations}
         assert laws == {"request-conservation"}
 
+    def test_satisfied_above_completed_raises(self):
+        runner = run_checked()
+        metrics = runner.collector.metrics
+        metrics.lc_satisfied = metrics.lc_completed + 1
+        with pytest.raises(InvariantViolationError) as exc:
+            runner.invariants.check_tick(runner.ctx)
+        violations = exc.value.violations
+        assert {v.law for v in violations} == {"request-conservation"}
+        assert any("satisfied" in v.message for v in violations)
+
     def test_stale_placement_fields_flagged(self):
         runner = run_checked()
         # fabricate a displaced request that skipped clear_assignment()
@@ -164,7 +174,8 @@ class TestNodeResourceLaw:
             "exceeds capacity" in v.message for v in exc.value.violations
         )
 
-    def test_book_vs_sum_mismatch_flagged(self):
+    @pytest.mark.parametrize("dim", ["cpu", "memory", "bandwidth", "disk"])
+    def test_book_vs_sum_mismatch_flagged(self, dim):
         runner = run_checked()
         # find a worker with running work and skew its book
         worker = next(
@@ -172,11 +183,11 @@ class TestNodeResourceLaw:
         )
         if worker is None:
             pytest.skip("no running work at end of run")
-        worker._allocated = worker._allocated + ResourceVector(cpu=0.5)
+        worker._allocated = worker._allocated + ResourceVector(**{dim: 0.5})
         with pytest.raises(InvariantViolationError) as exc:
             runner.invariants.check_tick(runner.ctx)
         assert any(
-            "sum to" in v.message
+            f"per-request {dim} allocations sum to" in v.message
             for v in exc.value.violations
             if v.law == "node-resources"
         )

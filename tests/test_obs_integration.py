@@ -1,10 +1,10 @@
 """End-to-end tests for the observability subsystem on real runs.
 
-The core guarantee: with ``RunnerConfig(observe=True)`` the runner routes
-the lifecycle through the bus and the collector bridge replays the exact
-call sequence of the direct path — so RunMetrics fingerprints must stay
-bit-identical to the seed recordings, while traces, the metric registry,
-and the kube audit stream all populate from the same event stream.
+The core guarantee: with ``RunnerConfig(observe=True)`` the runner still
+feeds the collector directly and only tees each lifecycle event onto the
+bus — so RunMetrics fingerprints must stay bit-identical to the seed
+recordings, while traces, the metric registry, and the kube audit stream
+all populate from the same event stream.
 """
 
 from __future__ import annotations
@@ -17,7 +17,9 @@ import pytest
 from repro import TangoConfig, TangoSystem
 from repro.cluster.topology import TopologyConfig
 from repro.kube.events import Reason
+from repro.metrics.fingerprint import metrics_fingerprint
 from repro.obs.events import DispatchRound, PeriodSampled
+from repro.sim.failures import FailureConfig
 from repro.sim.runner import RunnerConfig, SimulationRunner
 from repro.workloads.trace import SyntheticTrace, TraceConfig
 
@@ -42,7 +44,8 @@ def fingerprint(metrics) -> dict:
 
 
 def observed_run(factory=TangoConfig.tango, *, clusters=3, workers=3,
-                 duration=8_000.0, seed=1, lc=15.0, be=5.0, **runner_kwargs):
+                 duration=8_000.0, seed=1, lc=15.0, be=5.0, observe=True,
+                 **runner_kwargs):
     trace = SyntheticTrace(
         TraceConfig(
             n_clusters=clusters, duration_ms=duration, seed=seed,
@@ -54,7 +57,7 @@ def observed_run(factory=TangoConfig.tango, *, clusters=3, workers=3,
             n_clusters=clusters, workers_per_cluster=workers, seed=seed
         ),
         runner=RunnerConfig(
-            duration_ms=duration, observe=True, **runner_kwargs
+            duration_ms=duration, observe=observe, **runner_kwargs
         ),
     )
     system = TangoSystem(cfg)
@@ -84,6 +87,44 @@ class TestDeterminismParity:
     def test_k8s_native_fingerprint_unchanged(self, recorded):
         _, metrics = observed_run(TangoConfig.k8s_native)
         assert fingerprint(metrics) == recorded["k8s_native_small"]
+
+
+class TestModeParity:
+    """One run per execution mode, with crashes: the collector sees the
+    same call sequence whether or not a bus, an audit stream or the
+    strict checker is attached, so every fingerprint is identical."""
+
+    MODES = {
+        "plain": {"observe": False},
+        "observe": {},
+        "record_events": {"observe": False, "record_events": True},
+        "observe+record_events": {"record_events": True},
+        "strict-invariants": {"observe": False, "check_invariants": True},
+    }
+
+    def test_fingerprint_identical_across_modes(self):
+        runs = {
+            mode: observed_run(
+                failures=FailureConfig(node_mtbf_ms=1_500.0), **kwargs
+            )
+            for mode, kwargs in self.MODES.items()
+        }
+        prints = {
+            mode: metrics_fingerprint(metrics)
+            for mode, (_, metrics) in runs.items()
+        }
+        for mode, fp in prints.items():
+            assert fp == prints["plain"], mode
+        # both eviction causes ran, so the preemption-only filter was
+        # exercised on the direct and the bus side alike
+        system, metrics = runs["observe"]
+        evicted = system.last_runner.hub.registry.get(
+            "requests_evicted_total"
+        )
+        assert metrics.be_evictions > 0
+        assert evicted.value(cause="preemption") == metrics.be_evictions
+        assert evicted.value(cause="crash") > 0
+        assert runs["strict-invariants"][1].invariant_violations == 0
 
 
 class TestTraces:
@@ -209,24 +250,27 @@ class TestDisabledPath:
         runner = system.last_runner
         assert runner.hub is None and runner.bus is None
         assert runner.events is None
-        assert system.lc_scheduler.bus is None
+        assert system.lc_scheduler.emitter is runner.emitter
+        assert not runner.emitter.enabled
 
     def test_rewire_resets_bus_on_shared_publishers(self):
         """Publishers are reused across runs: a disabled run must not
         inherit the previous run's bus."""
         system, _ = observed_run(clusters=2, workers=2, duration=500.0)
-        assert system.lc_scheduler.bus is not None
-        # building a disabled runner over the same system resets every bus
-        SimulationRunner(
+        assert system.lc_scheduler.emitter.enabled
+        # building a disabled runner over the same system resets every
+        # publisher's emitter
+        runner = SimulationRunner(
             system.system, [], system.catalog,
             system.lc_scheduler, system.be_scheduler,
             config=RunnerConfig(duration_ms=500.0),
             state_storage=system.storage,
             reassurance=system.reassurance,
         )
-        assert system.lc_scheduler.bus is None
-        assert system.be_scheduler.bus is None
-        assert system.manager.bus is None
+        for publisher in (system.lc_scheduler, system.be_scheduler,
+                          system.manager):
+            assert publisher.emitter is runner.emitter
+            assert not publisher.emitter.enabled
 
 
 class TestCli:

@@ -112,17 +112,16 @@ class TestPublisherWiring:
         system = small_system(observe=True)
         runner = build_runner(system, [])
         emitter = system.lc_scheduler.emitter
-        bus = system.lc_scheduler.bus
         runner._wire_publishers()  # wiring twice must change nothing
         assert system.lc_scheduler.emitter is emitter
-        assert system.lc_scheduler.bus is bus
+        assert emitter is runner.emitter
 
     def test_shared_dsaco_wired_once_for_both_roles(self):
         system = small_system(TangoConfig.dsaco, observe=True)
         runner = build_runner(system, [])
         assert system.lc_scheduler is system.be_scheduler
         assert system.lc_scheduler.emitter is runner.emitter
-        assert system.lc_scheduler.bus is runner.bus
+        assert runner.emitter.enabled
 
     def test_rewire_resets_schedulers_and_reassurance(self):
         """One system reused across observe-on and observe-off runs: the
@@ -131,11 +130,12 @@ class TestPublisherWiring:
         system = small_system(observe=True)
         trace = small_trace()
         system.run(trace)
-        assert system.lc_scheduler.bus is not None
-        assert system.be_scheduler.bus is not None
+        observed = system.last_runner.emitter
+        assert observed.enabled
         assert system.reassurance is not None
-        assert system.reassurance.bus is not None
-        assert system.manager.bus is not None
+        for publisher in (system.lc_scheduler, system.be_scheduler,
+                          system.reassurance, system.manager):
+            assert publisher.emitter is observed
 
         # same system, observability off
         system.config.runner.observe = False
@@ -145,7 +145,6 @@ class TestPublisherWiring:
         assert runner.bus is None
         for publisher in (system.lc_scheduler, system.be_scheduler,
                           system.reassurance, system.manager):
-            assert publisher.bus is None
             assert publisher.emitter is runner.emitter
             assert not publisher.emitter.enabled
 

@@ -1,9 +1,9 @@
 """Every manager × LC policy × BE policy combination must run clean.
 
 The pairing experiment (Fig. 12) covers the interesting cells at length;
-this matrix sweep covers *all* of them briefly — with runtime invariant
-validation enabled — so a regression in any pairing is caught by the unit
-suite, not only by the slow benches.
+this matrix sweep covers *all* of them briefly — with the runtime
+invariant checker on in strict mode — so a regression in any pairing is
+caught by the unit suite, not only by the slow benches.
 """
 
 import itertools
@@ -36,7 +36,9 @@ def run_combo(manager, lc, be):
         be_policy=be,
         reassurance_enabled=(manager == "hrm"),
         topology=TopologyConfig(n_clusters=2, workers_per_cluster=2, seed=4),
-        runner=RunnerConfig(duration_ms=2_500.0, validate=True),
+        runner=RunnerConfig(
+            duration_ms=2_500.0, check_invariants=True, invariant_mode="strict"
+        ),
     )
     return TangoSystem(config).run(get_trace())
 
@@ -52,5 +54,6 @@ def test_policy_combination_runs_clean(manager, lc, be):
     assert metrics.lc_arrived > 0
     assert metrics.be_arrived > 0
     assert 0.0 <= metrics.qos_satisfaction_rate <= 1.0
-    # bookkeeping identities hold (validate=True also checked every tick)
+    # bookkeeping identities hold (the strict checker also ran every tick)
     assert metrics.lc_completed + metrics.lc_abandoned <= metrics.lc_arrived
+    assert metrics.invariant_violations == 0
