@@ -23,11 +23,12 @@ Commands
 
 ``bench``
     Run the standard 10-cluster benchmark workload with per-stage
-    profiling and print ticks/sec plus the stage breakdown::
+    profiling and print ticks/sec plus the stage breakdown (performance
+    is judged with ``perfbench/``; this is a quick look at one run)::
 
         python -m repro bench
-        python -m repro bench --out BENCH_PR1.json
         python -m repro bench --json          # machine-readable output
+        python -m repro bench --out bench.json  # the same JSON, to a file
 
 ``trace``
     Run one stack with the observability subsystem enabled and dump the
@@ -309,18 +310,20 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 def _cmd_bench(args: argparse.Namespace) -> int:
     import json
 
-    from repro.perf.bench import run_bench, write_bench_json
+    from repro.perf.bench import run_bench
 
     overrides = {}
     if args.duration is not None:
         overrides["duration_ms"] = args.duration * 1000.0
     if args.clusters is not None:
         overrides["clusters"] = args.clusters
-    result = run_bench(overrides or None, profile=True)
+    result = run_bench(overrides or None)
+    text = json.dumps(result, indent=2, sort_keys=True)
+    if args.out:
+        with open(args.out, "w") as fh:
+            fh.write(text + "\n")
     if args.json:
-        print(json.dumps(result, indent=2, sort_keys=True))
-        if args.out:
-            write_bench_json(result, args.out)
+        print(text)
         return 0
     wl = result["workload"]
     print(
@@ -328,16 +331,13 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         f"workers | {result['ticks']} ticks in {result['wall_s']:.2f}s "
         f"({result['ticks_per_sec']:.1f} ticks/sec)"
     )
-    total = sum(result.get("stage_ms", {}).values())
-    for stage, ms in sorted(
-        result.get("stage_ms", {}).items(), key=lambda kv: -kv[1]
-    ):
+    total = sum(result["stage_ms"].values())
+    for stage, ms in sorted(result["stage_ms"].items(), key=lambda kv: -kv[1]):
         share = 100.0 * ms / total if total else 0.0
         print(f"  {stage:10s} {ms:10.1f} ms  {share:5.1f}%")
     if result.get("solver"):
         print(f"  solver: {result['solver']}")
     if args.out:
-        write_bench_json(result, args.out)
         print(f"\nbenchmark written to {args.out}")
     return 0
 

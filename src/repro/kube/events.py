@@ -12,8 +12,8 @@ Since the observability subsystem landed, the recorder no longer sits on
 any hot path directly: when a run enables event recording the runner
 publishes typed events on the :class:`repro.obs.bus.EventBus` and a
 :class:`repro.obs.bridges.KubeEventBridge` renders them into this stream.
-Capacity and dedup window are surfaced as ``RunnerConfig.event_capacity``
-and ``RunnerConfig.event_dedup_window_ms``.
+A run's recorder uses the constructor defaults below (1000 events, 1 s
+dedup window).
 """
 
 from __future__ import annotations

@@ -1,8 +1,8 @@
 """The canonical RunMetrics fingerprint + readable diffing.
 
 One fingerprint shape is used everywhere determinism is asserted — the
-seed-metrics goldens, the checkpoint/resume suite, perfbench, and the
-``bench_smoke`` gate — so a drift in any gate points at the same fields.
+seed-metrics goldens, the checkpoint/resume suite, the mode-parity test
+and perfbench — so a drift in any gate points at the same fields.
 Floats are rounded exactly as the goldens were recorded (latency sums to
 6 places, rates to 12), making "bit-identical" well-defined across JSON
 round-trips.

@@ -42,11 +42,10 @@ class ObservabilityHub:
         ring_capacity: int = 4096,
         trace: bool = True,
         metrics: bool = True,
-        trace_capacity: int = 100_000,
     ) -> None:
         self.bus = EventBus(capacity=ring_capacity)
         self.tracer: Optional[RequestTracer] = (
-            RequestTracer(self.bus, capacity=trace_capacity) if trace else None
+            RequestTracer(self.bus) if trace else None
         )
         self.registry: Optional[MetricRegistry] = None
         self._metrics_sub: Optional[MetricsSubscriber] = None

@@ -1,17 +1,11 @@
-"""Performance instrumentation for the simulation hot path.
+"""The in-package benchmark front end (``python -m repro bench``).
 
-The tick loop touches every subsystem (state storage, both schedulers, the
-node runtime, HRM), so regressions in any of them show up as wall-clock time.
-This package provides the measurement side of the hot-path performance layer:
-
-* :class:`~repro.perf.profiler.StageProfiler` — a low-overhead per-stage
-  timer the runner drives when ``RunnerConfig(profile=True)``;
-* :func:`~repro.perf.bench.run_bench` — the standard 10-cluster benchmark
-  workload whose results are recorded in ``BENCH_PR1.json`` so future
-  changes have a perf trajectory to compare against.
+:func:`~repro.perf.bench.run_bench` runs the standard 10-cluster workload
+once with ``RunnerConfig(profile=True)`` and reports ticks/sec, per-stage
+wall-clock totals, DSS-LC solver counters and the metrics fingerprint.
+The repository benchmark that judges changes is ``perfbench/``.
 """
 
-from .profiler import StageProfiler
-from .bench import run_bench, write_bench_json
+from .bench import STANDARD_WORKLOAD, run_bench
 
-__all__ = ["StageProfiler", "run_bench", "write_bench_json"]
+__all__ = ["STANDARD_WORKLOAD", "run_bench"]

@@ -1,18 +1,19 @@
 """The standard benchmark workload behind ``python -m repro bench``.
 
 One fixed configuration — 10 clusters, heterogeneous worker counts (3-20 per
-cluster), 10 s of simulated time, seeded trace at 60 LC / 15 BE rps — so the
-numbers in ``BENCH_PR1.json`` are comparable run-over-run and PR-over-PR.
+cluster), 10 s of simulated time, seeded trace at 60 LC / 15 BE rps — run
+once with per-stage profiling.  It is a quick in-package look at one run;
+performance is judged with ``perfbench/`` (``scripts/perf_ab.py`` compares
+two checkouts on it).
 """
 
 from __future__ import annotations
 
-import json
 import platform
 import time
 from typing import Any, Dict, Optional
 
-__all__ = ["STANDARD_WORKLOAD", "run_bench", "write_bench_json"]
+__all__ = ["STANDARD_WORKLOAD", "run_bench"]
 
 #: the standard 10-cluster workload (matches the seed-baseline measurement).
 STANDARD_WORKLOAD: Dict[str, Any] = {
@@ -26,11 +27,7 @@ STANDARD_WORKLOAD: Dict[str, Any] = {
 }
 
 
-def run_bench(
-    overrides: Optional[Dict[str, Any]] = None,
-    *,
-    profile: bool = True,
-) -> Dict[str, Any]:
+def run_bench(overrides: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
     """Run the benchmark workload; returns a result dict (see keys below)."""
     from repro.cluster.topology import TopologyConfig
     from repro.core.config import TangoConfig
@@ -64,7 +61,7 @@ def run_bench(
             workers_per_cluster=wl["workers_per_cluster"],
             seed=wl["seed"],
         ),
-        runner=RunnerConfig(duration_ms=wl["duration_ms"], profile=profile),
+        runner=RunnerConfig(duration_ms=wl["duration_ms"], profile=True),
     )
     system = TangoSystem(config)
     n_workers = system.system.total_nodes()
@@ -86,11 +83,10 @@ def run_bench(
             "qos_satisfaction_rate": round(metrics.qos_satisfaction_rate, 4),
         },
         "python": platform.python_version(),
-    }
-    if runner.profiler is not None:
-        result["stage_ms"] = {
+        "stage_ms": {
             k: round(v, 1) for k, v in runner.profiler.stage_ms().items()
-        }
+        },
+    }
     solver_stats = getattr(system.lc_scheduler, "solver_stats", None)
     if callable(solver_stats):
         result["solver"] = solver_stats()
@@ -99,20 +95,3 @@ def run_bench(
     result["fingerprint"] = metrics_fingerprint(metrics)
     return result
 
-
-def write_bench_json(
-    result: Dict[str, Any],
-    path: str,
-    *,
-    before: Optional[Dict[str, Any]] = None,
-) -> None:
-    """Write ``{before, after, speedup}`` to ``path`` (BENCH_PR1.json form)."""
-    payload: Dict[str, Any] = {"after": result}
-    if before is not None:
-        payload["before"] = before
-        b, a = before.get("ticks_per_sec"), result.get("ticks_per_sec")
-        if b and a:
-            payload["speedup"] = round(a / b, 2)
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")

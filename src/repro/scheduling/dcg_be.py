@@ -163,9 +163,6 @@ class DCGBEScheduler:
         # working copies updated as this round assigns requests
         cpu_ava = np.array([n.cpu_available for n in nodes])
         mem_ava = np.array([n.mem_available for n in nodes])
-        backlog = np.array(
-            [float(n.lc_queue + n.be_queue) for n in nodes]
-        )
         # Q_{t,i}: the waiting-set demand per node (§5.3.1), seeded from the
         # snapshot and grown by this round's own placements.
         pending_cpu = np.array([n.be_queue_cpu for n in nodes])
@@ -205,7 +202,6 @@ class DCGBEScheduler:
             # apply the decision to the working state
             cpu_ava[action] -= need_cpu
             mem_ava[action] -= need_mem
-            backlog[action] += 1.0
             pending_cpu[action] += spec.reference_resources.cpu
             pending_mem[action] += spec.reference_resources.memory
 

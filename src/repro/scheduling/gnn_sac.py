@@ -74,7 +74,6 @@ class GNNSACScheduler(DCGBEScheduler):
         adj = build_topology(nodes, snapshot)
         cpu_ava = np.array([n.cpu_available for n in nodes])
         mem_ava = np.array([n.mem_available for n in nodes])
-        backlog = np.array([float(n.lc_queue + n.be_queue) for n in nodes])
         pending_cpu = np.array([n.be_queue_cpu for n in nodes])
         pending_mem = np.array([n.be_queue_mem for n in nodes])
 
@@ -98,7 +97,6 @@ class GNNSACScheduler(DCGBEScheduler):
             self.decisions += 1
             cpu_ava[action] -= spec.min_resources.cpu
             mem_ava[action] -= spec.min_resources.memory
-            backlog[action] += 1.0
             pending_cpu[action] += spec.reference_resources.cpu
             pending_mem[action] += spec.reference_resources.memory
 

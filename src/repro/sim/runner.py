@@ -74,16 +74,11 @@ class RunnerConfig:
     failures: Optional[FailureConfig] = None
     #: record a kubectl-get-events-style audit stream (small overhead).
     record_events: bool = False
-    #: kube event recorder bounds (only read when ``record_events``).
-    event_capacity: int = 1000
-    event_dedup_window_ms: float = 1_000.0
     #: enable the unified observability subsystem (:mod:`repro.obs`):
     #: lifecycle events on a bus, request span traces, metric registry.
     observe: bool = False
     #: event-bus ring size (retrospective queries; publishes never block).
     obs_ring_capacity: int = 4096
-    #: max traces held in memory (oldest finished evicted first).
-    trace_capacity: int = 100_000
     #: run the runtime conservation-law checker every tick
     #: (:mod:`repro.sim.invariants`): request conservation, node resource
     #: accounting, D-VPA limit sums, snapshot coherence, and DSS-LC
@@ -92,8 +87,9 @@ class RunnerConfig:
     #: ``strict`` raises :class:`~repro.sim.invariants.InvariantViolationError`
     #: on the first violation; ``soft`` counts + emits and keeps running.
     invariant_mode: str = "strict"
-    #: time each pipeline stage with :class:`repro.perf.StageProfiler`
-    #: (exposed as ``runner.profiler``; ~0.1 % overhead).
+    #: time each pipeline stage with a
+    #: :class:`~repro.sim.pipeline.ProfiledPipeline` (exposed as
+    #: ``runner.profiler``; ~0.1 % overhead).
     profile: bool = False
 
 
@@ -127,11 +123,6 @@ class SimulationRunner:
         if self.config.failures is not None:
             self.injector = FailureInjector(system, self.config.failures)
             self.storage.node_filter = self._node_visible
-        self.profiler: Optional["StageProfiler"] = None
-        if self.config.profile:
-            from repro.perf.profiler import StageProfiler
-
-            self.profiler = StageProfiler()
         # --- observability ------------------------------------------------
         # The hub exists when anything consumes events (tracing/metrics via
         # ``observe``, or the kube audit stream via ``record_events``).
@@ -145,14 +136,10 @@ class SimulationRunner:
                 ring_capacity=self.config.obs_ring_capacity,
                 trace=self.config.observe,
                 metrics=self.config.observe,
-                trace_capacity=self.config.trace_capacity,
             )
             self.bus = self.hub.bus
             if self.config.record_events:
-                self.events = EventRecorder(
-                    capacity=self.config.event_capacity,
-                    dedup_window_ms=self.config.event_dedup_window_ms,
-                )
+                self.events = EventRecorder()
                 self.hub.attach_recorder(self.events)
         self.emitter = (
             BusEmitter(self.collector, self.bus)
@@ -202,6 +189,10 @@ class SimulationRunner:
                 include_failures=self.injector is not None,
                 include_invariants=self.invariants is not None,
             )
+        )
+        #: per-stage wall-clock totals, kept across repeated ``run`` calls.
+        self.profiler: Optional[ProfiledPipeline] = (
+            ProfiledPipeline(self.pipeline) if self.config.profile else None
         )
 
     def _wire_publishers(self) -> None:
@@ -281,9 +272,7 @@ class SimulationRunner:
         )
         n_ticks = int(end_ms / cfg.tick_ms) - self.clock.tick_count
         self._init_active_set()
-        pipeline = self.pipeline
-        if self.profiler is not None:
-            pipeline = ProfiledPipeline(pipeline, self.profiler)
+        pipeline = self.profiler or self.pipeline
         ctx = self.ctx
         clock = self.clock
         for _ in range(max(0, n_ticks)):

@@ -1,46 +1,72 @@
-"""Tests for the perf layer: StageProfiler, run_bench, and the profile flag."""
+"""Tests for the stage timer (``ProfiledPipeline``) and ``repro bench``."""
 
 from __future__ import annotations
 
 import json
+import time
 
-from repro.perf.bench import run_bench, write_bench_json
-from repro.perf.profiler import StageProfiler
+from repro import TangoConfig, TangoSystem
+from repro.cluster.topology import TopologyConfig
+from repro.obs.events import StageProfile
+from repro.perf.bench import run_bench
+from repro.sim.pipeline import ProfiledPipeline, Stage, TickPipeline
+from repro.sim.runner import RunnerConfig
+from repro.workloads.trace import SyntheticTrace, TraceConfig
 
 
-class TestStageProfiler:
-    def test_accumulates_and_counts(self):
-        prof = StageProfiler()
-        prof.add("lc", 0.25)
-        prof.add("lc", 0.75)
-        prof.add("be", 0.5)
-        assert prof.stage_ms() == {"lc": 1000.0, "be": 500.0}
-        assert prof.counts == {"lc": 2, "be": 1}
-        assert prof.total_s() == 1.5
+class _Sleep(Stage):
+    name = "sleep"
 
-    def test_start_stop_measures_elapsed(self):
-        prof = StageProfiler()
-        t0 = prof.start()
-        for _ in range(1000):
-            pass
-        prof.stop("step", t0)
-        assert prof.counts["step"] == 1
-        assert 0.0 < prof.totals_s["step"] < 5.0
+    def run(self, ctx) -> None:
+        time.sleep(0.002)
 
-    def test_rows_sorted_heaviest_first(self):
-        prof = StageProfiler()
-        prof.add("small", 0.1)
-        prof.add("big", 0.9)
-        rows = prof.rows()
-        assert [r[0] for r in rows] == ["big", "small"]
-        assert abs(rows[0][3] - 0.9) < 1e-9  # share
 
-    def test_format_table_mentions_all_stages(self):
-        prof = StageProfiler()
-        prof.add("refresh", 0.2)
-        table = prof.format_table(wall_s=0.3)
-        assert "refresh" in table
-        assert "(wall)" in table
+def small_system(**runner_kwargs):
+    config = TangoConfig.tango(
+        topology=TopologyConfig(n_clusters=2, workers_per_cluster=2, seed=0),
+        runner=RunnerConfig(duration_ms=1_000.0, **runner_kwargs),
+    )
+    trace = SyntheticTrace(
+        TraceConfig(
+            n_clusters=2, duration_ms=1_000.0, seed=0,
+            lc_peak_rps=10.0, be_peak_rps=4.0,
+        )
+    ).generate()
+    return TangoSystem(config), trace
+
+
+class TestProfiledPipeline:
+    def test_times_each_stage_and_accumulates(self):
+        profiled = ProfiledPipeline(TickPipeline([_Sleep()]))
+        profiled.run_tick(None)
+        first = profiled.stage_ms()["sleep"]
+        profiled.run_tick(None)
+        assert first >= 2.0
+        assert profiled.stage_ms()["sleep"] >= first + 2.0
+
+    def test_runner_totals_accumulate_across_runs(self):
+        system, trace = small_system(profile=True)
+        system.run(trace, until_ms=500.0)
+        runner = system.last_runner
+        profiler = runner.profiler
+        half = dict(profiler.totals_s)
+        runner.run()
+        assert runner.profiler is profiler
+        assert set(profiler.totals_s) == set(half)
+        assert all(profiler.totals_s[s] > half[s] for s in half)
+
+    def test_registry_and_bus_carry_the_profiler_totals(self):
+        # the stage_wall_ms gauges and the StageProfile event are the same
+        # numbers as runner.profiler.stage_ms(), not a second measurement.
+        system, trace = small_system(observe=True, profile=True)
+        system.run(trace)
+        runner = system.last_runner
+        stage_ms = runner.profiler.stage_ms()
+        gauge = runner.hub.registry.get("stage_wall_ms")
+        gauges = {dict(key)["stage"]: v for _, key, v in gauge.samples()}
+        assert gauges == stage_ms
+        [event] = runner.bus.events(StageProfile)
+        assert event.stage_ms == stage_ms
 
 
 class TestRunBench:
@@ -48,7 +74,6 @@ class TestRunBench:
         result = run_bench(
             {"clusters": 2, "duration_ms": 500.0, "lc_peak_rps": 10.0,
              "be_peak_rps": 3.0},
-            profile=True,
         )
         assert result["ticks"] == 20
         assert result["ticks_per_sec"] > 0
@@ -56,21 +81,15 @@ class TestRunBench:
             assert stage in result["stage_ms"]
         assert result["solver"]["solves"] >= 0
 
-    def test_profile_flag_off_omits_stages(self):
-        result = run_bench(
-            {"clusters": 2, "duration_ms": 250.0, "lc_peak_rps": 5.0,
-             "be_peak_rps": 2.0},
-            profile=False,
-        )
-        assert "stage_ms" not in result
+    def test_out_writes_the_printed_json(self, capsys, tmp_path):
+        from repro.cli import main
 
-    def test_write_bench_json_computes_speedup(self, tmp_path):
         path = tmp_path / "bench.json"
-        write_bench_json(
-            {"ticks_per_sec": 30.0}, str(path),
-            before={"ticks_per_sec": 15.0},
-        )
-        payload = json.loads(path.read_text())
-        assert payload["speedup"] == 2.0
-        assert payload["after"]["ticks_per_sec"] == 30.0
-        assert payload["before"]["ticks_per_sec"] == 15.0
+        rc = main([
+            "bench", "--json", "--out", str(path),
+            "--duration", "0.5", "--clusters", "2",
+        ])
+        assert rc == 0
+        printed = capsys.readouterr().out
+        assert path.read_text() == printed
+        assert json.loads(printed)["ticks"] == 20
