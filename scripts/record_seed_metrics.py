@@ -8,12 +8,14 @@ did not change scheduling outcomes.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import sys
 
 from repro import TangoConfig, TangoSystem
 from repro.cluster.topology import TopologyConfig
+from repro.scheduling.dss_lc import DSSLCConfig
 from repro.sim.runner import RunnerConfig
 from repro.workloads.trace import SyntheticTrace, TraceConfig
 
@@ -59,6 +61,14 @@ def main() -> int:
         "tango_mid": run_case(
             TangoConfig.tango, clusters=6, workers=5, duration=6_000.0,
             seed=7, lc=40.0, be=12.0,
+        ),
+        "gnn_sac_small": run_case(
+            functools.partial(TangoConfig.tango, be_policy="gnn-sac")
+        ),
+        "tango_coordinated_small": run_case(
+            functools.partial(
+                TangoConfig.tango, dss_lc=DSSLCConfig(coordinate_types=True)
+            )
         ),
     }
     out = os.path.join(os.path.dirname(__file__), "..", "tests", "data",

@@ -10,6 +10,7 @@ means an optimisation changed behaviour, not just speed.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 
@@ -17,6 +18,7 @@ import pytest
 
 from repro import TangoConfig, TangoSystem
 from repro.cluster.topology import TopologyConfig
+from repro.scheduling.dss_lc import DSSLCConfig
 from repro.sim.runner import RunnerConfig
 from repro.workloads.trace import SyntheticTrace, TraceConfig
 
@@ -78,3 +80,15 @@ class TestBitIdenticalToSeed:
             seed=7, lc=40.0, be=12.0,
         )
         assert got == recorded["tango_mid"]
+
+    def test_gnn_sac_small(self, recorded):
+        got = run_case(functools.partial(TangoConfig.tango, be_policy="gnn-sac"))
+        assert got == recorded["gnn_sac_small"]
+
+    def test_tango_coordinated_small(self, recorded):
+        got = run_case(
+            functools.partial(
+                TangoConfig.tango, dss_lc=DSSLCConfig(coordinate_types=True)
+            )
+        )
+        assert got == recorded["tango_coordinated_small"]
