@@ -25,11 +25,11 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.state_storage import NodeSnapshot, SystemSnapshot
+from repro.core.state_storage import NodeView, SystemSnapshot
 from repro.nn.gnn import GraphSAGEEncoder
 from repro.nn.sac import SACAgent, SACConfig, SACTransition
 from repro.scheduling.base import Assignment
-from repro.scheduling.dcg_be import N_NODE_FEATURES, build_topology
+from repro.scheduling.dcg_be import N_NODE_FEATURES, DCGBEScheduler, build_topology
 from repro.sim.request import ServiceRequest
 
 __all__ = ["DSACOConfig", "DSACOScheduler"]
@@ -90,16 +90,16 @@ class DSACOScheduler:
     def _dispatch(
         self,
         requests: Sequence[ServiceRequest],
-        nodes: List[NodeSnapshot],
+        view: NodeView,
         snapshot: SystemSnapshot,
     ) -> List[Assignment]:
+        nodes = view.nodes
         if not requests or not nodes:
             return []
         adj = build_topology(nodes, snapshot)
-        cpu_ava = np.array([n.cpu_available for n in nodes])
-        mem_ava = np.array([n.mem_available for n in nodes])
-        backlog = np.array([float(n.lc_queue + n.be_queue) for n in nodes])
-        pending_cpu = np.array([n.be_queue_cpu for n in nodes])
+        cpu_ava = view.cpu_available.copy()
+        mem_ava = view.mem_available.copy()
+        backlog = (view.lc_queue + view.be_queue).astype(np.float64)
 
         out: List[Assignment] = []
         for request in list(requests)[: self.config.max_per_round]:
@@ -109,7 +109,7 @@ class DSACOScheduler:
             )
             if not mask.any():
                 mask = None  # queue at the chosen node
-            features = self._features(nodes, cpu_ava, mem_ava, backlog, spec)
+            features = self._features(view, cpu_ava, mem_ava, backlog, spec)
             action = self.agent.act(features, adj, mask, greedy=self.greedy)
             node = nodes[action]
             out.append(
@@ -146,20 +146,10 @@ class DSACOScheduler:
         return out
 
     @staticmethod
-    def _features(nodes, cpu_ava, mem_ava, backlog, spec) -> np.ndarray:
-        n = len(nodes)
-        feats = np.zeros((n, N_NODE_FEATURES))
-        for i, node in enumerate(nodes):
-            cpu_total = max(node.cpu_total, 1e-9)
-            mem_total = max(node.mem_total, 1e-9)
-            feats[i, 0] = cpu_ava[i] / cpu_total
-            feats[i, 1] = mem_ava[i] / mem_total
-            feats[i, 2] = cpu_total / 16.0
-            feats[i, 3] = mem_total / 32768.0
-            feats[i, 4] = node.min_slack
-            feats[i, 5] = spec.reference_resources.cpu / cpu_total
-            feats[i, 6] = spec.reference_resources.memory / mem_total
-            feats[i, 7] = min(1.0, backlog[i] / 32.0)  # DSACO keeps counts
+    def _features(view, cpu_ava, mem_ava, backlog, spec) -> np.ndarray:
+        """DCG-BE's node state, except that the queue column counts requests."""
+        feats = DCGBEScheduler._features_fast(view, cpu_ava, mem_ava, backlog, spec)
+        feats[:, 7] = np.minimum(1.0, backlog / 32.0)
         return feats
 
     # ------------------------------------------------------------------ #
@@ -173,8 +163,7 @@ class DSACOScheduler:
         eligible_clusters: Sequence[int],
         now_ms: float,
     ) -> List[Assignment]:
-        nodes = snapshot.nodes_of(list(eligible_clusters))
-        return self._dispatch(requests, nodes, snapshot)
+        return self._dispatch(requests, snapshot.view(eligible_clusters), snapshot)
 
     def dispatch_be(
         self,
@@ -189,6 +178,6 @@ class DSACOScheduler:
             by_origin.setdefault(r.origin_cluster, []).append(r)
         out: List[Assignment] = []
         for origin, reqs in sorted(by_origin.items()):
-            nodes = snapshot.nodes  # nearby filter applied by the runner
-            out.extend(self._dispatch(reqs, nodes, snapshot))
+            # nearby filter applied by the runner
+            out.extend(self._dispatch(reqs, snapshot.view(), snapshot))
         return out

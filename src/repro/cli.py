@@ -58,7 +58,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.cluster.topology import TopologyConfig
 from repro.core.config import TangoConfig

@@ -10,14 +10,16 @@ errors a real system exhibits between metric pushes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from dataclasses import dataclass, replace
+from typing import Callable, Dict, List, Optional, Sequence
+
+import numpy as np
 
 from repro.cluster.topology import EdgeCloudSystem
 from repro.hrm.qos import QoSDetector
 from repro.workloads.spec import ServiceSpec
 
-__all__ = ["NodeSnapshot", "SystemSnapshot", "StateStorage"]
+__all__ = ["NodeSnapshot", "NodeView", "SystemSnapshot", "StateStorage"]
 
 
 @dataclass(frozen=True)
@@ -41,14 +43,53 @@ class NodeSnapshot:
     be_queue_mem: float = 0.0
 
 
+#: the numeric NodeSnapshot fields every array-reading scheduler uses, as
+#: ``(field, dtype)``; a :class:`NodeView` carries one column per entry.
+NODE_COLUMNS = (
+    ("cluster_id", np.intp),
+    ("cpu_total", np.float64),
+    ("cpu_available", np.float64),
+    ("mem_total", np.float64),
+    ("mem_available", np.float64),
+    ("lc_queue", np.int64),
+    ("be_queue", np.int64),
+    ("be_queue_cpu", np.float64),
+    ("be_queue_mem", np.float64),
+    ("min_slack", np.float64),
+)
+
+
+@dataclass(frozen=True, eq=False)
+class NodeView:
+    """The nodes of some clusters in snapshot order, plus their columns.
+
+    ``index`` holds each node's position in the snapshot's node list, and
+    every column is the snapshot column gathered at ``index``.  Columns are
+    read-only; a scheduler that updates working state copies them.
+    """
+
+    nodes: List[NodeSnapshot]
+    index: np.ndarray
+    cluster_id: np.ndarray
+    cpu_total: np.ndarray
+    cpu_available: np.ndarray
+    mem_total: np.ndarray
+    mem_available: np.ndarray
+    lc_queue: np.ndarray
+    be_queue: np.ndarray
+    be_queue_cpu: np.ndarray
+    be_queue_mem: np.ndarray
+    min_slack: np.ndarray
+
+
 @dataclass
 class SystemSnapshot:
     """All node snapshots plus inter-cluster delays at one refresh instant.
 
-    Construction builds a name index and a per-cluster index so scheduler
-    candidate loops stay O(candidates) instead of O(system): :meth:`node`
-    is a dict lookup and :meth:`nodes_of` concatenates pre-grouped cluster
-    lists.  ``nodes`` must not be mutated after construction.
+    The per-node columns are built from ``nodes`` once, on first read, and
+    every cluster neighbourhood a scheduler asks for is one memoised
+    :class:`NodeView` of them.  ``nodes`` must not be mutated after
+    construction.
     """
 
     time_ms: float
@@ -58,37 +99,46 @@ class SystemSnapshot:
     central_cluster_id: int
 
     def __post_init__(self) -> None:
-        self._by_name: Dict[str, NodeSnapshot] = {n.name: n for n in self.nodes}
-        by_cluster: Dict[int, List[NodeSnapshot]] = {}
-        for n in self.nodes:
-            by_cluster.setdefault(n.cluster_id, []).append(n)
-        self._by_cluster = by_cluster
-        # memoised nodes_of results; every master asks for the same cluster
-        # neighbourhood each tick, and callers treat the result as read-only,
-        # so the same list object can be served for the snapshot's lifetime.
-        self._nodes_of_cache: Dict[tuple, List[NodeSnapshot]] = {}
+        #: sorted unique cluster ids (None = every cluster) -> view.
+        self._views: Dict[Optional[tuple], NodeView] = {}
 
-    def nodes_of(self, cluster_ids: Optional[List[int]] = None) -> List[NodeSnapshot]:
-        if cluster_ids is None:
-            return list(self.nodes)
-        # sorted unique ids reproduce the global node order (the nodes list
-        # is grouped by ascending cluster), matching the seed's filter scan.
-        key = tuple(sorted(set(cluster_ids)))
-        cached = self._nodes_of_cache.get(key)
-        if cached is None:
-            cached = []
-            for cid in key:
-                members = self._by_cluster.get(cid)
-                if members:
-                    cached.extend(members)
-            self._nodes_of_cache[key] = cached
-        return cached
+    def view(self, cluster_ids: Optional[Sequence[int]] = None) -> NodeView:
+        """The nodes of ``cluster_ids`` (all when None) with their columns.
 
-    def node(self, name: str) -> NodeSnapshot:
-        found = self._by_name.get(name)
+        The view keeps snapshot order: its index is a filter of the global
+        order, whatever order the clusters' nodes appear in.
+        """
+        key = None if cluster_ids is None else tuple(sorted(set(cluster_ids)))
+        found = self._views.get(key)
         if found is None:
-            raise KeyError(name)
+            if key is None:
+                index = np.arange(len(self.nodes))
+                columns = {
+                    name: np.array([getattr(n, name) for n in self.nodes], dtype)
+                    for name, dtype in NODE_COLUMNS
+                }
+            else:
+                # a lookup table over the (small, non-negative) cluster ids:
+                # the filter np.isin does, without its per-call overhead
+                full = self.view()
+                member = np.zeros(int(full.cluster_id.max(initial=-1)) + 1, bool)
+                member[[c for c in key if c < member.size]] = True
+                index = np.flatnonzero(member[full.cluster_id])
+                columns = {
+                    name: getattr(full, name)[index] for name, _ in NODE_COLUMNS
+                }
+            for column in columns.values():
+                column.flags.writeable = False
+            found = self._views[key] = NodeView(
+                [self.nodes[i] for i in index.tolist()], index, **columns
+            )
         return found
+
+    def nodes_of(
+        self, cluster_ids: Optional[Sequence[int]] = None
+    ) -> List[NodeSnapshot]:
+        """The node list of :meth:`view`; callers treat it as read-only."""
+        return self.view(cluster_ids).nodes
 
 
 class StateStorage:
@@ -154,6 +204,9 @@ class StateStorage:
             delay_ms=self._delay_cache,
             central_cluster_id=self.system.central_cluster_id,
         )
+        # publish the snapshot with its columns built, so no scheduler's
+        # timed decision pays for the whole node list
+        self._snapshot.view()
         return self._snapshot
 
     def _snapshot_worker(self, worker, now_ms: float) -> NodeSnapshot:
@@ -206,6 +259,9 @@ class StateStorage:
         }
 
     def restore_state(self, state: Dict) -> None:
-        self._snapshot = state["snapshot"]
+        # rebuilt from its fields, so a snapshot pickled by an older build
+        # (other index attributes, no view memo) serves views like a new one
+        snapshot = state["snapshot"]
+        self._snapshot = None if snapshot is None else replace(snapshot)
         self._last_refresh_ms = state["last_refresh_ms"]
         self._node_cache = state["node_cache"]

@@ -27,7 +27,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.state_storage import NodeSnapshot, SystemSnapshot
+from repro.core.state_storage import NodeSnapshot, NodeView, SystemSnapshot
 from repro.nn.a2c import A2CAgent, A2CConfig, Transition
 from repro.nn.gnn import GraphEncoder, GraphSAGEEncoder
 from repro.obs.emitter import NULL_EMITTER
@@ -88,7 +88,15 @@ def build_topology(nodes: Sequence[NodeSnapshot], snapshot: SystemSnapshot):
 
 
 class DCGBEScheduler:
-    """Centralised BE dispatcher with online GraphSAGE+A2C learning."""
+    """Centralised BE dispatcher with online GraphSAGE+A2C learning.
+
+    Subclasses swap the learner through :meth:`_make_agent` and
+    :meth:`_record`; state, context filter, reward and dispatch loop are
+    shared.
+    """
+
+    #: scheduler label of the published dispatch rounds.
+    name = "dcg-be"
 
     def __init__(
         self,
@@ -107,7 +115,22 @@ class DCGBEScheduler:
                 rng,
                 sample_size=cfg.sample_size,
             )
-        self.agent = A2CAgent(
+        self.agent = self._make_agent(encoder, rng)
+        self.greedy = greedy
+        #: completions since the last decision, as the r_long accumulator.
+        self._completion_mass = 0.0
+        self.decisions = 0
+        self.requeues = 0
+        #: lifecycle emitter; rewired by the runner, null when standalone.
+        self.emitter = NULL_EMITTER
+        #: ``(snapshot, adj)``: the topology of the last snapshot seen.
+        #: Pinning the snapshot reference keys the cache by identity.
+        self._static_cache: Optional[tuple] = None
+
+    def _make_agent(self, encoder: GraphEncoder, rng: np.random.Generator):
+        """The learner acting on the encoded state (A2C for DCG-BE)."""
+        cfg = self.config
+        return A2CAgent(
             N_NODE_FEATURES,
             rng,
             encoder=encoder,
@@ -117,17 +140,12 @@ class DCGBEScheduler:
                 train_interval=cfg.train_interval,
             ),
         )
-        self.greedy = greedy
-        #: completions since the last decision, as the r_long accumulator.
-        self._completion_mass = 0.0
-        self.decisions = 0
-        self.requeues = 0
-        #: lifecycle emitter; rewired by the runner, null when standalone.
-        self.emitter = NULL_EMITTER
-        #: per-snapshot static state: (snapshot, adj, clamped totals, and
-        #: the feature columns that cannot change within one snapshot).
-        #: Pinning the snapshot reference keys the cache by identity.
-        self._static_cache: Optional[tuple] = None
+
+    def _record(self, features, adj, mask, action: int, reward: float) -> None:
+        """Hand one decision and its reward to the learner."""
+        self.agent.record(
+            Transition(features, adj, mask, action=action, reward=reward)
+        )
 
     # ------------------------------------------------------------------ #
     # runner feedback
@@ -158,15 +176,16 @@ class DCGBEScheduler:
     ) -> List[Assignment]:
         if not requests or not snapshot.nodes:
             return []
-        nodes = snapshot.nodes
-        adj, cpu_tot, mem_tot, static_cols = self._static_state(snapshot)
+        view = snapshot.view()
+        nodes = view.nodes
+        adj = self._static_state(snapshot)
         # working copies updated as this round assigns requests
-        cpu_ava = np.array([n.cpu_available for n in nodes])
-        mem_ava = np.array([n.mem_available for n in nodes])
+        cpu_ava = view.cpu_available.copy()
+        mem_ava = view.mem_available.copy()
         # Q_{t,i}: the waiting-set demand per node (§5.3.1), seeded from the
         # snapshot and grown by this round's own placements.
-        pending_cpu = np.array([n.be_queue_cpu for n in nodes])
-        pending_mem = np.array([n.be_queue_mem for n in nodes])
+        pending_cpu = view.be_queue_cpu.copy()
+        pending_mem = view.be_queue_mem.copy()
 
         out: List[Assignment] = []
         for request in list(requests)[: self.config.max_per_round]:
@@ -175,8 +194,7 @@ class DCGBEScheduler:
             need_mem = spec.min_resources.memory
             mask = (cpu_ava >= need_cpu) & (mem_ava >= need_mem)
             features = self._features_fast(
-                cpu_ava, mem_ava, pending_cpu, spec,
-                cpu_tot, mem_tot, static_cols,
+                view, cpu_ava, mem_ava, pending_cpu, spec
             )
             if not mask.any():
                 # No node can process immediately: the request is still sent
@@ -209,18 +227,10 @@ class DCGBEScheduler:
                 reward = self._reward(
                     action, nodes, pending_cpu, pending_mem
                 )
-                self.agent.record(
-                    Transition(
-                        features=features,
-                        adj=adj,
-                        mask=mask,
-                        action=action,
-                        reward=reward,
-                    )
-                )
+                self._record(features, adj, mask, action, reward)
         self.emitter.dispatch_round(
             now_ms,
-            "dcg-be",
+            self.name,
             snapshot.central_cluster_id,
             len(requests),
             len(out),
@@ -252,51 +262,37 @@ class DCGBEScheduler:
     # ------------------------------------------------------------------ #
     # state + reward construction
     # ------------------------------------------------------------------ #
-    def _static_state(self, snapshot: SystemSnapshot):
-        """Topology + immutable feature columns, cached per snapshot.
-
-        A snapshot is immutable once published, so its adjacency list,
-        clamped totals, and the capacity/slack feature columns are computed
-        once per refresh period instead of once per request.
-        """
+    def _static_state(self, snapshot: SystemSnapshot) -> List[List[int]]:
+        """The snapshot's adjacency list, built once per refresh period."""
         cache = self._static_cache
-        if cache is not None and cache[0] is snapshot:
-            return cache[1], cache[2], cache[3], cache[4]
-        nodes = snapshot.nodes
-        adj = build_topology(nodes, snapshot)
-        cpu_tot = np.array([max(n.cpu_total, 1e-9) for n in nodes])
-        mem_tot = np.array([max(n.mem_total, 1e-9) for n in nodes])
-        static_cols = (
-            cpu_tot / 16.0,
-            mem_tot / 32768.0,
-            np.array([n.min_slack for n in nodes]),
-        )
-        self._static_cache = (snapshot, adj, cpu_tot, mem_tot, static_cols)
-        return adj, cpu_tot, mem_tot, static_cols
+        if cache is None or cache[0] is not snapshot:
+            cache = self._static_cache = (
+                snapshot, build_topology(snapshot.nodes, snapshot)
+            )
+        return cache[1]
 
     @staticmethod
     def _features_fast(
+        view: NodeView,
         cpu_ava: np.ndarray,
         mem_ava: np.ndarray,
         pending_cpu: np.ndarray,
         spec,
-        cpu_tot: np.ndarray,
-        mem_tot: np.ndarray,
-        static_cols: tuple,
     ) -> np.ndarray:
-        """Vectorised :meth:`_features` over precomputed clamped totals.
+        """Vectorised :meth:`_features` over the view's columns.
 
         Every column is an elementwise numpy op over the same operands the
         scalar loop uses, so the result is bit-identical (asserted by
         ``tests/test_dcg_be.py``).
         """
-        n = cpu_ava.shape[0]
-        feats = np.empty((n, N_NODE_FEATURES))
+        cpu_tot = np.maximum(view.cpu_total, 1e-9)
+        mem_tot = np.maximum(view.mem_total, 1e-9)
+        feats = np.empty((cpu_ava.shape[0], N_NODE_FEATURES))
         feats[:, 0] = cpu_ava / cpu_tot
         feats[:, 1] = mem_ava / mem_tot
-        feats[:, 2] = static_cols[0]
-        feats[:, 3] = static_cols[1]
-        feats[:, 4] = static_cols[2]
+        feats[:, 2] = cpu_tot / 16.0
+        feats[:, 3] = mem_tot / 32768.0
+        feats[:, 4] = view.min_slack
         feats[:, 5] = spec.reference_resources.cpu / cpu_tot
         feats[:, 6] = spec.reference_resources.memory / mem_tot
         feats[:, 7] = np.minimum(2.0, pending_cpu / cpu_tot)

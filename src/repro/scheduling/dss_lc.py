@@ -26,12 +26,12 @@ Decision latency is tracked per call so the §7.2 response-time claims
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.state_storage import NodeSnapshot, SystemSnapshot
+from repro.core.state_storage import NodeView, SystemSnapshot
 from repro.flow.graph import solve_transport
 from repro.hrm.reassurance import ReassuranceMechanism
 from repro.obs.emitter import NULL_EMITTER
@@ -182,11 +182,9 @@ class DSSLCScheduler:
         #: G_k solves and their (SSP-equivalent) augmentations, cumulative.
         self._solves = 0
         self._augmentations = 0
-        #: per-node columns (cpu/mem available+total, lc queue, cluster,
-        #: re-assurance slot) of an eligible-node list, keyed by the list's
-        #: ``id()``.  Each master queries its own list; the entry pins the
-        #: list so a recycled ``id()`` can never serve stale columns.
-        self._node_array_cache: Dict[int, tuple] = {}
+        #: ``(snapshot, slots)``: the re-assurance slots of one snapshot's
+        #: nodes in snapshot order, looked up once per snapshot.
+        self._node_slots: Optional[Tuple[SystemSnapshot, np.ndarray]] = None
         #: when set (by the runner with invariant checking on), every
         #: per-type dispatch round appends a :class:`DispatchAuditRecord`;
         #: the invariant stage drains it each tick.  None = no recording.
@@ -219,20 +217,20 @@ class DSSLCScheduler:
         case2_before = self.case2_rounds
         self._flow_cost_round = 0.0
         assignments: List[Assignment] = []
-        nodes = snapshot.nodes_of(list(eligible_clusters))
-        if nodes:
+        view = snapshot.view(eligible_clusters)
+        if view.nodes:
             groups = group_by_type(requests)
             if self.config.coordinate_types and len(groups) > 1:
                 assignments.extend(
                     self._dispatch_coordinated(
-                        origin_cluster, groups, nodes, snapshot
+                        origin_cluster, groups, view, snapshot
                     )
                 )
             else:
                 for service, reqs in groups.items():
                     assignments.extend(
                         self._dispatch_type(
-                            origin_cluster, reqs, nodes, snapshot
+                            origin_cluster, reqs, view, snapshot
                         )
                     )
         decision_ms = (time.perf_counter() - start) * 1000.0
@@ -256,21 +254,21 @@ class DSSLCScheduler:
         self,
         origin_cluster: int,
         requests: List[ServiceRequest],
-        nodes: List[NodeSnapshot],
+        view: NodeView,
         snapshot: SystemSnapshot,
     ) -> List[Assignment]:
         spec = requests[0].spec
-        r_cpu, r_mem, capacities = self._capacities(spec, nodes)
+        r_cpu, r_mem, capacities = self._capacities(spec, view, snapshot)
         pending = len(requests)
         total_capacity = int(capacities.sum())
 
         if pending <= total_capacity:
             placed, counts = self._solve_and_assign(
-                origin_cluster, requests, nodes, capacities, snapshot
+                origin_cluster, requests, view, capacities, snapshot
             )
             if self.audit_log is not None:
                 self._record_audit(
-                    spec, nodes, r_cpu, r_mem, counts, np.zeros_like(counts), 0
+                    spec, view, r_cpu, r_mem, counts, np.zeros_like(counts), 0
                 )
             return placed
 
@@ -283,23 +281,23 @@ class DSSLCScheduler:
         immediate = ordered[:total_capacity]
         queued = ordered[total_capacity:]
         assignments, placed_now = self._solve_and_assign(
-            origin_cluster, immediate, nodes, capacities, snapshot
+            origin_cluster, immediate, view, capacities, snapshot
         )
 
         queued = queued[: self.config.max_queue_push]
         queued_counts = np.zeros_like(placed_now)
         if queued:
             aug_caps = augmented_capacities(
-                self._remaining_units(nodes, r_cpu, r_mem, placed_now),
+                self._remaining_units(view, r_cpu, r_mem, placed_now),
                 len(queued),
             )
             queued_assignments, queued_counts = self._solve_and_assign(
-                origin_cluster, queued, nodes, aug_caps, snapshot
+                origin_cluster, queued, view, aug_caps, snapshot
             )
             assignments.extend(queued_assignments)
         if self.audit_log is not None:
             self._record_audit(
-                spec, nodes, r_cpu, r_mem, placed_now, queued_counts,
+                spec, view, r_cpu, r_mem, placed_now, queued_counts,
                 len(queued),
             )
         return assignments
@@ -307,7 +305,7 @@ class DSSLCScheduler:
     def _record_audit(
         self,
         spec: ServiceSpec,
-        nodes: List[NodeSnapshot],
+        view: NodeView,
         r_cpu,
         r_mem,
         immediate_counts: np.ndarray,
@@ -317,12 +315,12 @@ class DSSLCScheduler:
         self.audit_log.append(
             DispatchAuditRecord(
                 service=spec.name,
-                node_names=[n.name for n in nodes],
-                cpu_available=[n.cpu_available for n in nodes],
-                mem_available=[n.mem_available for n in nodes],
-                cpu_total=[n.cpu_total for n in nodes],
-                mem_total=[n.mem_total for n in nodes],
-                lc_queue=[n.lc_queue for n in nodes],
+                node_names=[n.name for n in view.nodes],
+                cpu_available=view.cpu_available.tolist(),
+                mem_available=view.mem_available.tolist(),
+                cpu_total=view.cpu_total.tolist(),
+                mem_total=view.mem_total.tolist(),
+                lc_queue=view.lc_queue.tolist(),
                 r_cpu=[float(x) for x in r_cpu],
                 r_mem=[float(x) for x in r_mem],
                 target_fill=self.config.target_fill,
@@ -339,7 +337,7 @@ class DSSLCScheduler:
         self,
         origin_cluster: int,
         groups: Dict[str, List[ServiceRequest]],
-        nodes: List[NodeSnapshot],
+        view: NodeView,
         snapshot: SystemSnapshot,
     ) -> List[Assignment]:
         """Solve every type jointly over shared master→worker links.
@@ -350,9 +348,10 @@ class DSSLCScheduler:
         """
         from repro.flow.multicommodity import Commodity, SharedLink, solve_sequential
 
+        nodes = view.nodes
         commodities: List[Commodity] = []
         for service, reqs in groups.items():
-            _, _, capacities = self._capacities(reqs[0].spec, nodes)
+            _, _, capacities = self._capacities(reqs[0].spec, view, snapshot)
             commodities.append(
                 Commodity(service, [len(reqs)] + (-capacities).tolist())
             )
@@ -398,40 +397,47 @@ class DSSLCScheduler:
             leftover = reqs[cursor:][: self.config.max_queue_push]
             if leftover:
                 self.case2_rounds += 1
-                r_cpu, r_mem = self._per_request_minima(leftover[0].spec, nodes)
+                r_cpu, r_mem = self._per_request_minima(
+                    leftover[0].spec, view, snapshot
+                )
                 # remaining totals: deduct this round's placements so far
                 # and each node's existing backlog, as the per-type path does.
                 aug_caps = augmented_capacities(
-                    self._remaining_units(nodes, r_cpu, r_mem, placed_now),
+                    self._remaining_units(view, r_cpu, r_mem, placed_now),
                     len(leftover),
                 )
                 placed, counts = self._solve_and_assign(
-                    origin_cluster, leftover, nodes, aug_caps, snapshot
+                    origin_cluster, leftover, view, aug_caps, snapshot
                 )
                 assignments.extend(placed)
                 placed_now += counts
         return assignments
 
     def _per_request_minima(
-        self, spec: ServiceSpec, nodes: List[NodeSnapshot]
+        self, spec: ServiceSpec, view: NodeView, snapshot: SystemSnapshot
     ) -> tuple:
         """Per-node (r^c_k, r^m_k), re-assurance-adjusted when available.
 
-        One gather from the re-assurance columns at the list's cached node
-        slots; no per-node Python and no cache of its own, so the minima are
-        always the ones re-assurance holds right now.
+        One gather from the re-assurance columns at the view's node slots;
+        no per-node Python and no cache of minima, so they are always the
+        ones re-assurance holds right now.
         """
         if self.reassurance is None:
             r = spec.min_resources
             return (
-                np.full(len(nodes), max(r.cpu, 1e-9), dtype=np.float64),
-                np.full(len(nodes), max(r.memory, 1e-9), dtype=np.float64),
+                np.full(len(view.nodes), max(r.cpu, 1e-9), dtype=np.float64),
+                np.full(len(view.nodes), max(r.memory, 1e-9), dtype=np.float64),
             )
-        slots = self._node_arrays(nodes)[-1]
-        r_cpu, r_mem = self.reassurance.minima(spec, slots)
+        held = self._node_slots
+        if held is None or held[0] is not snapshot:
+            names = [n.name for n in snapshot.nodes]
+            held = self._node_slots = (snapshot, self.reassurance.slots_of(names))
+        r_cpu, r_mem = self.reassurance.minima(spec, held[1][view.index])
         return np.maximum(r_cpu, 1e-9), np.maximum(r_mem, 1e-9)
 
-    def _capacities(self, spec: ServiceSpec, nodes: List[NodeSnapshot]) -> tuple:
+    def _capacities(
+        self, spec: ServiceSpec, view: NodeView, snapshot: SystemSnapshot
+    ) -> tuple:
         """``(r_cpu, r_mem, capacities)``: minima and Eq. 2 capacities.
 
         |t_i^k| of Eq. 2, with two practical corrections: the node is only
@@ -440,17 +446,16 @@ class DSSLCScheduler:
         consume capacity units this round.  Elementwise array ops are
         IEEE-identical to the scalar per-node reference.
         """
-        r_cpu, r_mem = self._per_request_minima(spec, nodes)
-        cpu_ava, mem_ava, cpu_tot, mem_tot, lc_q, *_ = self._node_arrays(nodes)
+        r_cpu, r_mem = self._per_request_minima(spec, view, snapshot)
         hold = 1.0 - self.config.target_fill
-        cpu_eff = np.maximum(0.0, cpu_ava - hold * cpu_tot)
-        mem_eff = np.maximum(0.0, mem_ava - hold * mem_tot)
+        cpu_eff = np.maximum(0.0, view.cpu_available - hold * view.cpu_total)
+        mem_eff = np.maximum(0.0, view.mem_available - hold * view.mem_total)
         units = self._node_units(cpu_eff, mem_eff, r_cpu, r_mem)
-        return r_cpu, r_mem, np.maximum(0, units - lc_q)
+        return r_cpu, r_mem, np.maximum(0, units - view.lc_queue)
 
     def _remaining_units(
         self,
-        nodes: List[NodeSnapshot],
+        view: NodeView,
         r_cpu: np.ndarray,
         r_mem: np.ndarray,
         placed_now: np.ndarray,
@@ -461,36 +466,8 @@ class DSSLCScheduler:
         consume capacity units, so both are deducted before the λ scaling
         (counting the raw totals twice over-assigned busy nodes).
         """
-        _, _, cpu_tot, mem_tot, lc_q, *_ = self._node_arrays(nodes)
-        units = self._node_units(cpu_tot, mem_tot, r_cpu, r_mem)
-        return np.maximum(0, units - placed_now - lc_q).tolist()
-
-    def _node_arrays(self, nodes: List[NodeSnapshot]) -> tuple:
-        """Columns for a snapshot's eligible-node list, as arrays.
-
-        Valid for the lifetime of the list object (node views are frozen for
-        a snapshot period); the entry pins the list so a recycled ``id()``
-        can never serve stale columns.  The last column holds the nodes'
-        re-assurance slots, which never move once assigned.
-        """
-        key = id(nodes)
-        cached = self._node_array_cache.get(key)
-        if cached is not None and cached[0] is nodes:
-            return cached[1]
-        arrays = (
-            np.array([n.cpu_available for n in nodes]),
-            np.array([n.mem_available for n in nodes]),
-            np.array([n.cpu_total for n in nodes]),
-            np.array([n.mem_total for n in nodes]),
-            np.array([n.lc_queue for n in nodes], dtype=np.int64),
-            np.array([n.cluster_id for n in nodes], dtype=np.intp),
-            None if self.reassurance is None
-            else self.reassurance.slots_of([n.name for n in nodes]),
-        )
-        if len(self._node_array_cache) > 64:
-            self._node_array_cache.clear()
-        self._node_array_cache[key] = (nodes, arrays)
-        return arrays
+        units = self._node_units(view.cpu_total, view.mem_total, r_cpu, r_mem)
+        return np.maximum(0, units - placed_now - view.lc_queue).tolist()
 
     @staticmethod
     def _node_units(cpu, mem, r_cpu, r_mem):
@@ -505,7 +482,7 @@ class DSSLCScheduler:
         self,
         origin_cluster: int,
         requests: List[ServiceRequest],
-        nodes: List[NodeSnapshot],
+        view: NodeView,
         capacities: Sequence[int],
         snapshot: SystemSnapshot,
     ) -> Tuple[List[Assignment], np.ndarray]:
@@ -516,10 +493,9 @@ class DSSLCScheduler:
         master→node delay plus the slice's surcharge.
         """
         if not requests:
-            return [], np.zeros(len(nodes), dtype=np.int64)
-        cluster_ids = self._node_arrays(nodes)[5]
+            return [], np.zeros(len(view.nodes), dtype=np.int64)
         delay_row = snapshot.delay_ms[origin_cluster]
-        delays = np.asarray(delay_row)[cluster_ids]
+        delays = np.asarray(delay_row)[view.cluster_id]
         result = solve_transport(
             len(requests),
             slice_capacities(
@@ -534,7 +510,7 @@ class DSSLCScheduler:
         assignments: List[Assignment] = []
         cursor = 0
         for j in np.flatnonzero(result.absorbed).tolist():
-            node = nodes[j]
+            node = view.nodes[j]
             delay = delay_row[node.cluster_id]
             for _ in range(int(result.absorbed[j])):
                 assignments.append(
@@ -560,9 +536,8 @@ class DSSLCScheduler:
     # Checkpointable
     # ------------------------------------------------------------------ #
     def snapshot_state(self) -> Dict:
-        """RNG positions and counters.  The id()-keyed snapshot caches are
-        pure accelerators (self-invalidating via ``is`` checks) and are
-        rebuilt, not restored."""
+        """RNG positions and counters.  The held re-assurance slots are
+        keyed by snapshot identity and rebuilt, not restored."""
         return {
             "rng": self.rng.bit_generator.state,
             # one stream per master; stateless policies contribute nothing
@@ -586,7 +561,6 @@ class DSSLCScheduler:
         self.decision_latencies_ms = state["decision_latencies_ms"]
         self.case2_rounds = state["case2_rounds"]
         self._flow_cost_round = state["flow_cost_round"]
-        self._node_array_cache.clear()
 
     def solver_stats(self) -> Dict[str, float]:
         """Cumulative G_k solve counters."""

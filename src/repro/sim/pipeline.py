@@ -28,7 +28,7 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass, field
-from typing import Any, ClassVar, Dict, List, Optional, Sequence
+from typing import Any, ClassVar, Dict, List, Sequence
 
 from repro.sim.request import RequestState, ServiceRequest
 from repro.workloads.spec import ServiceSpec

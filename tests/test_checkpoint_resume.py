@@ -23,6 +23,7 @@ import repro
 from repro import TangoConfig, TangoSystem
 from repro.cluster.resources import ResourceVector
 from repro.cluster.topology import TopologyConfig
+from repro.core.state_storage import SystemSnapshot
 from repro.hrm.qos import QoSDetector
 from repro.hrm.reassurance import ReassuranceMechanism
 from repro.metrics.report import load_metrics
@@ -168,6 +169,42 @@ class TestResumeFingerprintParity:
         checkpoint = leg1_system.last_runner.checkpoint()
 
         leg2_system, _ = build(TangoConfig.tango, 1, observe=True)
+        resumed = fingerprint(leg2_system.resume(trace, checkpoint))
+        assert resumed == straight
+
+
+class TestStorageState:
+    def test_pre_view_snapshot_resumes(self):
+        """A storage state whose snapshot was pickled by an older build,
+        with its name/cluster indexes and without the view memo, resumes
+        to the straight-run fingerprint."""
+        straight_system, trace = build(TangoConfig.tango, 1)
+        straight = fingerprint(straight_system.run(trace))
+
+        leg1_system, _ = build(TangoConfig.tango, 1)
+        # one tick after the 2 700 ms refresh: the resumed leg's first tick
+        # still reads the restored snapshot (refresh period 100 ms)
+        leg1_system.run(trace, until_ms=2_725.0)
+        checkpoint = leg1_system.last_runner.checkpoint()
+        storage = checkpoint.state["components"]["storage"]
+        current = storage["snapshot"]
+        by_cluster = {}
+        for n in current.nodes:
+            by_cluster.setdefault(n.cluster_id, []).append(n)
+        old = object.__new__(SystemSnapshot)
+        old.__dict__.update(
+            time_ms=current.time_ms,
+            nodes=current.nodes,
+            delay_ms=current.delay_ms,
+            central_cluster_id=current.central_cluster_id,
+            _by_name={n.name: n for n in current.nodes},
+            _by_cluster=by_cluster,
+            _nodes_of_cache={},
+        )
+        assert storage["last_refresh_ms"] == 2_700.0
+        storage["snapshot"] = old
+
+        leg2_system, _ = build(TangoConfig.tango, 1)
         resumed = fingerprint(leg2_system.resume(trace, checkpoint))
         assert resumed == straight
 

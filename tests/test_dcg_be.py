@@ -9,7 +9,6 @@ from repro.core.state_storage import NodeSnapshot, SystemSnapshot
 from repro.scheduling.dcg_be import (
     DCGBEConfig,
     DCGBEScheduler,
-    N_NODE_FEATURES,
     build_topology,
 )
 from repro.scheduling.gnn_sac import GNNSACScheduler
@@ -123,10 +122,10 @@ class TestDispatch:
 
 class TestFeatures:
     def test_fast_path_equals_scalar_loop(self):
-        """DCG-BE's vectorised ``_features_fast`` is bit-identical to the
-        per-node ``_features`` loop GNN-SAC runs, including the 1e-9 clamp
-        on zero totals, negative available resources and the 2.0 cap on
-        queue pressure."""
+        """DCG-BE's vectorised ``_features_fast`` over a snapshot view is
+        bit-identical to the per-node ``_features`` loop, including the 1e-9
+        clamp on zero totals, negative available resources and the 2.0 cap
+        on queue pressure."""
         rng = np.random.default_rng(0)
         sched = DCGBEScheduler()
         for case in range(200):
@@ -148,16 +147,16 @@ class TestFeatures:
                 )
                 for i in range(n)
             ]
-            cpu_ava = np.array([nd.cpu_available for nd in nodes])
-            mem_ava = np.array([nd.mem_available for nd in nodes])
+            view = snapshot(nodes).view()
+            cpu_ava = view.cpu_available.copy()
+            mem_ava = view.mem_available.copy()
             # up to 3x the node's CPU, so the min(2.0, ...) cap is hit
             pending_cpu = (
                 np.maximum(cpu_tot, 1.0) * rng.uniform(0.0, 3.0, size=n)
             )
             spec = CATALOG[case % len(CATALOG)]
-            _, tot_c, tot_m, cols = sched._static_state(snapshot(nodes))
             fast = sched._features_fast(
-                cpu_ava, mem_ava, pending_cpu, spec, tot_c, tot_m, cols
+                view, cpu_ava, mem_ava, pending_cpu, spec
             )
             slow = sched._features(nodes, cpu_ava, mem_ava, pending_cpu, spec)
             assert np.array_equal(fast, slow), case

@@ -1,7 +1,5 @@
 """Property tests on dispatch invariants shared by every scheduler."""
 
-import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.state_storage import NodeSnapshot, SystemSnapshot
@@ -90,9 +88,10 @@ class TestUniversalInvariants:
         scheduler = SCHEDULERS[which]()
         out = scheduler.dispatch(0, requests, snapshot, eligible, 0.0)
         allowed = set(eligible)
+        by_name = {n.name: n for n in snapshot.nodes}
         for a in out:
             assert a.cluster_id in allowed
-            assert snapshot.node(a.node_name).cluster_id == a.cluster_id
+            assert by_name[a.node_name].cluster_id == a.cluster_id
 
     @settings(max_examples=30, deadline=None)
     @given(scenario=dispatch_scenarios())

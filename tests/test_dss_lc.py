@@ -2,8 +2,6 @@
 
 import copy
 
-import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.state_storage import NodeSnapshot, SystemSnapshot
@@ -46,6 +44,11 @@ def snapshot(nodes, n_clusters=2):
     return SystemSnapshot(
         time_ms=0.0, nodes=nodes, delay_ms=delays, central_cluster_id=0
     )
+
+
+def minima(sched, spec, snap):
+    """DSS-LC's per-request minima over every node of ``snap``."""
+    return sched._per_request_minima(spec, snap.view(), snap)
 
 
 def requests(n, spec=LC):
@@ -327,7 +330,7 @@ class TestEquation2:
         mech.run(0.0, {"a": {lc_spec.name: lc_spec}})
         sched = DSSLCScheduler(reassurance=mech)
         nodes = [node("a", 0, 8.0, 16384.0), node("b", 0, 8.0, 16384.0)]
-        r_cpu, r_mem = sched._per_request_minima(lc_spec, nodes)
+        r_cpu, r_mem = minima(sched, lc_spec, snapshot(nodes))
         # one poor step on "a"; "b" was never adjusted
         step = mech.config.increase_step
         assert r_cpu.tolist() == [
@@ -406,11 +409,12 @@ class TestCoordinatedTypes:
             det.observe("c", LC2.name, 0.0, LC2.qos_target_ms * 0.05)
         for t in range(3):
             mech.run(float(t), {"a": {LC.name: LC}, "c": {LC2.name: LC2}})
+        # grouped by ascending cluster, as StateStorage lists them
         nodes = [
             node("a", 0, 4.6, 30000.0),
             node("b", 1, 4.0, 30000.0, lc_queue=1),
-            node("c", 2, 2.7, 15000.0, cpu_total=8.0, mem_total=16384.0),
             node("d", 1, 3.5, 30000.0, cpu_total=6.0, lc_queue=2),
+            node("c", 2, 2.7, 15000.0, cpu_total=8.0, mem_total=16384.0),
         ]
         delays = [[1.0, 12.0, 30.0], [12.0, 1.0, 18.0], [30.0, 18.0, 1.0]]
         snap = SystemSnapshot(
@@ -470,15 +474,15 @@ class TestMinimaColumns:
     lookup equals the pre-column dict store, after any op sequence."""
 
     @staticmethod
-    def check(sched, mech, model, node_lists):
+    def check(sched, mech, model, snapshots):
         for spec in LCS:
             for name in POOL:
                 assert mech.min_resources(name, spec) == model.get(
                     (name, spec.name), spec.min_resources
                 )
-            for nodes in node_lists:
-                r_cpu, r_mem = sched._per_request_minima(spec, nodes)
-                scalar = [mech.min_resources(n.name, spec) for n in nodes]
+            for snap in snapshots:
+                r_cpu, r_mem = minima(sched, spec, snap)
+                scalar = [mech.min_resources(n.name, spec) for n in snap.nodes]
                 assert r_cpu.tolist() == [max(r.cpu, 1e-9) for r in scalar]
                 assert r_mem.tolist() == [max(r.memory, 1e-9) for r in scalar]
 
@@ -490,7 +494,7 @@ class TestMinimaColumns:
         sched = DSSLCScheduler(reassurance=mech)
         model = {}
         saved = None
-        seen = []  # node lists queried before; reused as the same objects
+        seen = []  # snapshots queried before; reused as the same objects
         for step, (op, arg) in enumerate(ops):
             if op == "run":
                 mech.detector = QoSDetector()
@@ -524,7 +528,7 @@ class TestMinimaColumns:
                 st.lists(st.sampled_from(POOL), min_size=1, max_size=10,
                          unique=True)
             )
-            fresh = [node(n, 0, 8.0, 16384.0) for n in names]
+            fresh = snapshot([node(n, 0, 8.0, 16384.0) for n in names])
             self.check(sched, mech, model, seen + [fresh])
             seen.append(fresh)
 
@@ -532,16 +536,16 @@ class TestMinimaColumns:
         config = ReassuranceConfig(period_ms=0.0)
         mech = ReassuranceMechanism(QoSDetector(), config)
         sched = DSSLCScheduler(reassurance=mech)
-        early = [node(n, 0, 8.0, 16384.0) for n in POOL[:3]]
-        sched._per_request_minima(LC, early)  # slots 0-2 assigned
+        early = snapshot([node(n, 0, 8.0, 16384.0) for n in POOL[:3]])
+        minima(sched, LC, early)  # slots 0-2 assigned
         for _ in range(10):
             mech.detector.observe(POOL[20], LC.name, 0.0, LC.qos_target_ms * 2)
         mech.run(0.0, {POOL[20]: {LC.name: LC}})  # column grows past 8
-        late = [node(n, 0, 8.0, 16384.0) for n in reversed(POOL)]
-        r_cpu, _ = sched._per_request_minima(LC, late)
+        late = snapshot([node(n, 0, 8.0, 16384.0) for n in reversed(POOL)])
+        r_cpu, _ = minima(sched, LC, late)
         expected = [LC.min_resources.cpu] * len(POOL)
         expected[len(POOL) - 1 - 20] = LC.min_resources.cpu * config.increase_step
         assert r_cpu.tolist() == expected
-        assert sched._per_request_minima(LC, early)[0].tolist() == (
+        assert minima(sched, LC, early)[0].tolist() == (
             [LC.min_resources.cpu] * 3
         )

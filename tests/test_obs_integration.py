@@ -18,7 +18,9 @@ from repro import TangoConfig, TangoSystem
 from repro.cluster.topology import TopologyConfig
 from repro.kube.events import Reason
 from repro.metrics.fingerprint import metrics_fingerprint
+from repro.obs.emitter import NULL_EMITTER
 from repro.obs.events import DispatchRound, PeriodSampled
+from repro.scheduling.gnn_sac import GNNSACScheduler
 from repro.sim.failures import FailureConfig
 from repro.sim.runner import RunnerConfig, SimulationRunner
 from repro.workloads.trace import SyntheticTrace, TraceConfig
@@ -218,6 +220,49 @@ class TestBusTraffic:
         assert "dss-lc" in schedulers
         assert "dcg-be" in schedulers
         assert all(ev.assigned <= ev.offered for ev in rounds)
+
+    def test_gnn_sac_publishes_its_own_rounds(self):
+        """GNN-SAC runs DCG-BE's dispatch loop, so every BE round with work
+        and nodes publishes one ``DispatchRound`` labelled ``gnn-sac``."""
+        trace = SyntheticTrace(
+            TraceConfig(n_clusters=2, duration_ms=4_000.0, seed=1,
+                        lc_peak_rps=10.0, be_peak_rps=5.0)
+        ).generate()
+        system = TangoSystem(
+            TangoConfig.tango(
+                be_policy="gnn-sac",
+                topology=TopologyConfig(
+                    n_clusters=2, workers_per_cluster=2, seed=1
+                ),
+                runner=RunnerConfig(duration_ms=4_000.0, observe=True),
+            )
+        )
+        scheduler = system.be_scheduler
+        dispatch_be = scheduler.dispatch_be
+        assigned = []
+
+        def counted(requests, snapshot, now_ms):
+            out = dispatch_be(requests, snapshot, now_ms)
+            if requests and snapshot.nodes:
+                assigned.append(len(out))
+            return out
+
+        scheduler.dispatch_be = counted
+        system.run(trace)
+        hub = system.last_runner.hub
+        rounds = hub.registry.get("dispatch_rounds_total")
+        assert rounds.value(scheduler="gnn-sac") == len(assigned) > 0
+        assert rounds.value(scheduler="dcg-be") == 0
+        published = [
+            ev for ev in hub.bus.events(DispatchRound)
+            if ev.scheduler == "gnn-sac"
+        ]
+        assert [ev.assigned for ev in published] == assigned[-len(published):]
+
+    def test_standalone_gnn_sac_has_an_emitter(self):
+        scheduler = GNNSACScheduler()
+        assert scheduler.emitter is NULL_EMITTER
+        assert scheduler.name == "gnn-sac"
 
     def test_hrm_events_flow(self, tango_run):
         system, _ = tango_run

@@ -1,11 +1,17 @@
-"""Indexed-snapshot and incremental-refresh behaviour of StateStorage."""
+"""Snapshot node views and incremental-refresh behaviour of StateStorage."""
 
 from __future__ import annotations
 
-import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster.topology import EdgeCloudSystem, TopologyConfig
-from repro.core.state_storage import StateStorage
+from repro.core.state_storage import (
+    NODE_COLUMNS,
+    NodeSnapshot,
+    StateStorage,
+    SystemSnapshot,
+)
 from repro.sim.request import ServiceRequest
 from repro.workloads.spec import ServiceKind, default_catalog
 
@@ -33,16 +39,67 @@ def make_system(clusters=3, workers=2):
     return system
 
 
-class TestIndexes:
-    def test_node_lookup_matches_linear_scan(self):
-        snap = StateStorage(make_system()).refresh(0.0)
-        for ns in snap.nodes:
-            assert snap.node(ns.name) is ns
+def node_snapshot(i, cluster, vals):
+    return NodeSnapshot(
+        name=f"n{i}",
+        cluster_id=cluster,
+        cpu_total=vals[0],
+        cpu_available=vals[1],
+        mem_total=vals[2],
+        mem_available=vals[3],
+        lc_queue=int(vals[4] * 10),
+        be_queue=int(vals[5] * 10),
+        running=0,
+        min_slack=vals[6],
+        be_queue_cpu=vals[7],
+        be_queue_mem=vals[8],
+    )
 
-    def test_node_lookup_unknown_raises(self):
-        snap = StateStorage(make_system()).refresh(0.0)
-        with pytest.raises(KeyError):
-            snap.node("no-such-node")
+
+FLOATS = st.floats(min_value=-1e4, max_value=1e4, allow_nan=False)
+
+
+@st.composite
+def node_lists(draw):
+    n = draw(st.integers(min_value=0, max_value=12))
+    order = draw(st.sampled_from(["grouped", "alternating", "random"]))
+    if order == "grouped":
+        clusters = sorted(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
+    elif order == "alternating":
+        clusters = [i % 2 for i in range(n)]
+    else:
+        clusters = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    return [
+        node_snapshot(i, c, draw(st.lists(FLOATS, min_size=9, max_size=9)))
+        for i, c in enumerate(clusters)
+    ]
+
+
+class TestIndexes:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        nodes=node_lists(),
+        subset=st.one_of(st.none(), st.lists(st.integers(0, 4), max_size=5)),
+    )
+    def test_view_columns_equal_node_fields(self, nodes, subset):
+        """Every view column equals the per-node field, and the view order
+        is a filter of the global order, grouped by cluster or not."""
+        snap = SystemSnapshot(
+            time_ms=0.0, nodes=nodes, delay_ms=[[0.0]], central_cluster_id=0
+        )
+        view = snap.view(subset)
+        want = [
+            (i, n) for i, n in enumerate(nodes)
+            if subset is None or n.cluster_id in set(subset)
+        ]
+        assert view.index.tolist() == [i for i, _ in want]
+        assert [n.name for n in view.nodes] == [n.name for _, n in want]
+        assert snap.nodes_of(subset) is view.nodes
+        for name, dtype in NODE_COLUMNS:
+            column = getattr(view, name)
+            assert column.dtype == dtype
+            assert not column.flags.writeable
+            assert column.tolist() == [getattr(n, name) for _, n in want]
 
     def test_nodes_of_preserves_seed_ordering(self):
         """Subset order must equal a filter of the global node order."""
@@ -57,13 +114,12 @@ class TestIndexes:
         first = snap.nodes_of([0, 1])
         second = snap.nodes_of([1, 0])  # order-insensitive cache key
         assert second is first
+        assert snap.view([0, 1]) is snap.view((1, 0, 1))
 
-    def test_nodes_of_none_returns_fresh_copy(self):
+    def test_nodes_of_none_is_snapshot_order(self):
         snap = StateStorage(make_system()).refresh(0.0)
-        full = snap.nodes_of(None)
-        assert full == list(snap.nodes)
-        full.pop()
-        assert len(snap.nodes_of(None)) == len(snap.nodes)
+        assert snap.nodes_of(None) == snap.nodes
+        assert snap.view().index.tolist() == list(range(len(snap.nodes)))
 
 
 class TestIncrementalRefresh:
@@ -84,12 +140,14 @@ class TestIncrementalRefresh:
         req = ServiceRequest(request_id=1, spec=LC, arrival_ms=0.0, origin_cluster=0)
         worker.enqueue(req, 5.0)
         snap2 = storage.refresh(1_000.0, force=True)
-        fresh = snap2.node(worker.name)
-        assert fresh is not snap1.node(worker.name)
+        old = {n.name: n for n in snap1.nodes}
+        new = {n.name: n for n in snap2.nodes}
+        fresh = new[worker.name]
+        assert fresh is not old[worker.name]
         assert fresh.lc_queue == 1
         # untouched workers still share their old node view
         other = workers[-1]
-        assert snap2.node(other.name) is snap1.node(other.name)
+        assert new[other.name] is old[other.name]
 
     def test_dirty_flag_cleared_after_refresh(self):
         system = make_system()

@@ -22,6 +22,10 @@ class AdmitNothing:
         pass
 
 
+def by_name(snap):
+    return {n.name: n for n in snap.nodes}
+
+
 def make_system():
     system = EdgeCloudSystem(TopologyConfig(n_clusters=3, workers_per_cluster=2))
     for w in system.all_workers():
@@ -52,14 +56,6 @@ class TestSnapshot:
         assert all(n.cluster_id == 1 for n in subset)
         assert len(subset) == 2
 
-    def test_node_lookup(self):
-        system = make_system()
-        snap = StateStorage(system).refresh(0.0)
-        name = snap.nodes[0].name
-        assert snap.node(name).name == name
-        with pytest.raises(KeyError):
-            snap.node("ghost")
-
     def test_queue_lengths_reflected(self):
         system = make_system()
         worker = system.clusters[0].workers[0]
@@ -67,7 +63,7 @@ class TestSnapshot:
             ServiceRequest(spec=LC, origin_cluster=0, arrival_ms=0.0), 0.0
         )
         snap = StateStorage(system).refresh(0.0)
-        assert snap.node(worker.name).lc_queue == 1
+        assert by_name(snap)[worker.name].lc_queue == 1
 
 
 class TestStaleness:
@@ -84,7 +80,7 @@ class TestStaleness:
         assert snap2 is snap1  # still the stale snapshot
         snap3 = storage.refresh(150.0)
         assert snap3 is not snap1
-        assert snap3.node(worker.name).lc_queue == 1
+        assert by_name(snap3)[worker.name].lc_queue == 1
 
     def test_force_refresh(self):
         system = make_system()
