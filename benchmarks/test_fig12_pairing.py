@@ -5,8 +5,6 @@ QoS barely moves across BE policies (HRM insulation); the DSS-LC × DCG-BE
 cell is the best (or near-best) throughput pairing.
 """
 
-import numpy as np
-
 from repro.experiments.fig12 import BE_SET, LC_SET, run_fig12
 
 

@@ -25,11 +25,11 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.state_storage import NodeView, SystemSnapshot
+from repro.core.state_storage import SystemSnapshot
 from repro.nn.gnn import GraphSAGEEncoder
 from repro.nn.sac import SACAgent, SACConfig, SACTransition
 from repro.scheduling.base import Assignment
-from repro.scheduling.dcg_be import N_NODE_FEATURES, DCGBEScheduler, build_topology
+from repro.scheduling.dcg_be import N_NODE_FEATURES, DCGBEScheduler
 from repro.sim.request import ServiceRequest
 
 __all__ = ["DSACOConfig", "DSACOScheduler"]
@@ -90,13 +90,14 @@ class DSACOScheduler:
     def _dispatch(
         self,
         requests: Sequence[ServiceRequest],
-        view: NodeView,
         snapshot: SystemSnapshot,
+        cluster_ids: Optional[Sequence[int]] = None,
     ) -> List[Assignment]:
+        view = snapshot.view(cluster_ids)
         nodes = view.nodes
         if not requests or not nodes:
             return []
-        adj = build_topology(nodes, snapshot)
+        adj = snapshot.topology(cluster_ids)
         cpu_ava = view.cpu_available.copy()
         mem_ava = view.mem_available.copy()
         backlog = (view.lc_queue + view.be_queue).astype(np.float64)
@@ -163,7 +164,7 @@ class DSACOScheduler:
         eligible_clusters: Sequence[int],
         now_ms: float,
     ) -> List[Assignment]:
-        return self._dispatch(requests, snapshot.view(eligible_clusters), snapshot)
+        return self._dispatch(requests, snapshot, eligible_clusters)
 
     def dispatch_be(
         self,
@@ -179,5 +180,5 @@ class DSACOScheduler:
         out: List[Assignment] = []
         for origin, reqs in sorted(by_origin.items()):
             # nearby filter applied by the runner
-            out.extend(self._dispatch(reqs, snapshot.view(), snapshot))
+            out.extend(self._dispatch(reqs, snapshot))
         return out

@@ -12,13 +12,12 @@ delays are ``RTT/2`` with RTT = base + distance × per-km cost.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional
 
 import numpy as np
 
 from repro.cluster.cluster import LAN_DELAY_MS, EdgeCloudCluster, make_heterogeneous_workers
-from repro.cluster.resources import ResourceVector
 
 __all__ = ["EdgeCloudSystem", "TopologyConfig"]
 

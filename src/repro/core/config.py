@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 from repro.cluster.topology import TopologyConfig
 from repro.hrm.reassurance import ReassuranceConfig

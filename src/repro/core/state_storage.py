@@ -6,6 +6,10 @@ and the QoS, which are pushed by Prometheus and the QoS detector".  The
 schedulers therefore act on *snapshots* that can be up to one refresh period
 stale — an intentional fidelity point: it reproduces the small load-balancing
 errors a real system exhibits between metric pushes.
+
+The snapshot also owns DCG-BE's worker graph G' = (S', Z') of §5.3.1, which
+refreshes carry forward until a crash, recovery or partition changes the
+worker set.
 """
 
 from __future__ import annotations
@@ -19,7 +23,10 @@ from repro.cluster.topology import EdgeCloudSystem
 from repro.hrm.qos import QoSDetector
 from repro.workloads.spec import ServiceSpec
 
-__all__ = ["NodeSnapshot", "NodeView", "SystemSnapshot", "StateStorage"]
+__all__ = ["NodeSnapshot", "NodeView", "SystemSnapshot", "StateStorage", "build_topology"]
+
+#: delay (one-way, ms) under which two clusters get a WAN gateway edge.
+WAN_EDGE_DELAY_MS = 40.0
 
 
 @dataclass(frozen=True)
@@ -88,8 +95,8 @@ class SystemSnapshot:
 
     The per-node columns are built from ``nodes`` once, on first read, and
     every cluster neighbourhood a scheduler asks for is one memoised
-    :class:`NodeView` of them.  ``nodes`` must not be mutated after
-    construction.
+    :class:`NodeView` of them, with one memoised :meth:`topology`.
+    ``nodes`` must not be mutated after construction.
     """
 
     time_ms: float
@@ -101,6 +108,8 @@ class SystemSnapshot:
     def __post_init__(self) -> None:
         #: sorted unique cluster ids (None = every cluster) -> view.
         self._views: Dict[Optional[tuple], NodeView] = {}
+        #: same keys -> graph of that view; refresh hands it on (StateStorage).
+        self._topologies: Dict[Optional[tuple], tuple] = {}
 
     def view(self, cluster_ids: Optional[Sequence[int]] = None) -> NodeView:
         """The nodes of ``cluster_ids`` (all when None) with their columns.
@@ -139,6 +148,42 @@ class SystemSnapshot:
     ) -> List[NodeSnapshot]:
         """The node list of :meth:`view`; callers treat it as read-only."""
         return self.view(cluster_ids).nodes
+
+    def topology(self, cluster_ids: Optional[Sequence[int]] = None) -> tuple:
+        """:func:`build_topology` over the nodes of :meth:`view`, memoised."""
+        key = None if cluster_ids is None else tuple(sorted(set(cluster_ids)))
+        found = self._topologies.get(key)
+        if found is None:
+            found = self._topologies[key] = build_topology(
+                self.view(key).nodes, self
+            )
+        return found
+
+
+def build_topology(nodes: Sequence[NodeSnapshot], snapshot: SystemSnapshot) -> tuple:
+    """Adjacency over worker nodes: LAN cliques + WAN gateway edges, as a
+    tuple of neighbour-index tuples so no reader can change it."""
+    adj: List[List[int]] = [[] for _ in nodes]
+    by_cluster: Dict[int, List[int]] = {}
+    for idx, node in enumerate(nodes):
+        by_cluster.setdefault(node.cluster_id, []).append(idx)
+    # LAN: complete graph within a cluster
+    for members in by_cluster.values():
+        for i in members:
+            for j in members:
+                if i != j:
+                    adj[i].append(j)
+    # WAN: first worker of each cluster pair acts as gateway
+    clusters = sorted(by_cluster)
+    central = snapshot.central_cluster_id
+    for ai, a in enumerate(clusters):
+        for b in clusters[ai + 1 :]:
+            delay = snapshot.delay_ms[a][b]
+            if delay <= WAN_EDGE_DELAY_MS or central in (a, b):
+                ga, gb = by_cluster[a][0], by_cluster[b][0]
+                adj[ga].append(gb)
+                adj[gb].append(ga)
+    return tuple(map(tuple, adj))
 
 
 class StateStorage:
@@ -198,12 +243,22 @@ class StateStorage:
                 [self.system.one_way_delay_ms(a, b) for b in range(n)]
                 for a in range(n)
             ]
+        previous = self._snapshot
         self._snapshot = SystemSnapshot(
             time_ms=now_ms,
             nodes=nodes,
             delay_ms=self._delay_cache,
             central_cluster_id=self.system.central_cluster_id,
         )
+        # names encode the cluster (c{id}-w{i}) and the central cluster is
+        # fixed, so the same names over the same delays give the same graph
+        # for every view key
+        if (
+            previous is not None
+            and previous.delay_ms is self._delay_cache
+            and [s.name for s in previous.nodes] == [s.name for s in nodes]
+        ):
+            self._snapshot._topologies = previous._topologies
         # publish the snapshot with its columns built, so no scheduler's
         # timed decision pays for the whole node list
         self._snapshot.view()

@@ -19,7 +19,7 @@ component diagram of Fig. 3.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.baselines.ceres import CeresManager
 from repro.baselines.dsaco import DSACOConfig, DSACOScheduler

@@ -13,7 +13,6 @@ parameters, as a reviewer (or a deployer) would:
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Dict
 
 from repro.core.config import TangoConfig

@@ -17,8 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-import numpy as np
-
 from repro.cluster.topology import TopologyConfig
 from repro.core.config import TangoConfig
 from repro.core.tango import TangoSystem

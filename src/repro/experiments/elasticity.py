@@ -23,7 +23,7 @@ each mechanism restores sufficient capacity:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict
 
 from repro.cluster.resources import ResourceVector
 from repro.hrm.dvpa import DVPA

@@ -14,15 +14,14 @@ per period.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict
 
 import numpy as np
 
 from repro.core.config import TangoConfig
-from repro.workloads.spec import ServiceKind, default_catalog
 from repro.workloads.trace import SyntheticTrace, TraceConfig
 
-from .common import SCALES, Scale, build_and_run, print_table, scaled_config
+from .common import SCALES, build_and_run, print_table, scaled_config
 
 __all__ = ["run_fig1", "main"]
 

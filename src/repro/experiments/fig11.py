@@ -21,17 +21,15 @@ report the settled policy.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 import numpy as np
 
-from repro.cluster.topology import TopologyConfig
 from repro.core.config import TangoConfig
 from repro.core.tango import TangoSystem
 from repro.nn.gnn import GATEncoder, GCNEncoder, GraphSAGEEncoder, IdentityEncoder
 from repro.scheduling.dcg_be import DCGBEConfig, DCGBEScheduler, N_NODE_FEATURES
 from repro.scheduling.gnn_sac import GNNSACScheduler
-from repro.sim.runner import RunnerConfig
 from repro.workloads.trace import SyntheticTrace, TraceConfig
 
 from .common import SCALES, Scale, build_and_run, normalize, print_table, scaled_config

@@ -23,7 +23,7 @@ from repro.scheduling.dcg_be import DCGBEConfig, DCGBEScheduler
 from repro.scheduling.gnn_sac import GNNSACScheduler
 
 from .common import SCALES, Scale, print_table, scaled_config
-from .fig11 import _run_learning_arm, _trace_for
+from .fig11 import _trace_for
 
 __all__ = ["run_fig12", "main"]
 

@@ -16,8 +16,6 @@ from __future__ import annotations
 
 from typing import Dict
 
-import numpy as np
-
 from repro.cluster.topology import TopologyConfig
 from repro.core.config import TangoConfig
 from repro.core.tango import TangoSystem

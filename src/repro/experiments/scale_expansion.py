@@ -14,7 +14,7 @@ gracefully:
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, Sequence
 
 from repro.cluster.topology import TopologyConfig
 from repro.core.config import TangoConfig

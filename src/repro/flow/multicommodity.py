@@ -22,7 +22,7 @@ ordering to reduce order bias.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .graph import COST_SCALE

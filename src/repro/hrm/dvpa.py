@@ -19,8 +19,8 @@ Two modes are offered:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Optional
 
 from repro.cluster.resources import ResourceVector
 from repro.kube.cgroups import CGroupTree, WRITE_LATENCY_MS

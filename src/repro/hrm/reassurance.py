@@ -21,7 +21,7 @@ never move, so a slot array cached by a consumer stays valid across
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np

@@ -21,7 +21,7 @@ container restart.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.cluster.node import AdmitDecision, RunningRequest, WorkerNode

@@ -20,8 +20,6 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from repro.cluster.resources import ResourceVector
-
 from .api_server import ApiServer, NotFoundError
 from .objects import ContainerSpec, Pod, PodPhase, PodSpec
 from .scheduler import KubeScheduler, NodeView

@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 __all__ = ["ClusterEvent", "EventRecorder", "Reason"]
 

@@ -15,7 +15,7 @@ evaluations; every added replica pays the cold-start latency from
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 __all__ = ["HorizontalPodAutoscaler", "HPADecision"]

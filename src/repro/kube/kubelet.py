@@ -11,8 +11,8 @@ kubelet transitions pods whose start deadline has passed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Dict, List
 
 from repro.cluster.resources import ResourceVector
 

@@ -13,12 +13,12 @@ Two distinct "K8s-native" behaviours appear in the paper's baselines:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Dict, Optional, Sequence
 
 from repro.cluster.resources import ResourceVector
 
-from .objects import NodeInfo, Pod
+from .objects import Pod
 
 __all__ = ["KubeScheduler", "RoundRobinProxy", "NodeView"]
 

@@ -14,7 +14,7 @@ accounts its latency and downtime so the D-VPA comparison bench
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 import numpy as np

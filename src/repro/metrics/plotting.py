@@ -8,7 +8,7 @@ same primitives the examples use.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 __all__ = ["sparkline", "timeline_chart", "histogram"]
 

@@ -22,7 +22,7 @@ as the target and ``R − V(s)`` as the advantage.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 import numpy as np

@@ -32,7 +32,7 @@ linear algebra:
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -199,6 +199,9 @@ class GraphSAGEEncoder(GraphEncoder):
     """
 
     separate_self = True
+    #: ``(adj, plan)`` of the last graph encoded, checked by identity (holding
+    #: ``adj`` keeps its id unique); a class default, so old pickles encode.
+    _plan: Optional[tuple] = None
 
     def __init__(
         self,
@@ -211,15 +214,11 @@ class GraphSAGEEncoder(GraphEncoder):
         if sample_size < 1:
             raise ValueError("sample_size must be >= 1")
         self.sample_size = sample_size
-        #: id(adj) -> sampling plan.  Each plan pins its adjacency list so
-        #: ``id()`` reuse cannot alias entries; the topology must not be
-        #: mutated in place between encode calls (degree changes are
-        #: detected, same-degree rewires are not).  A plan is O(n·p + E).
-        self._plan_cache: dict = {}
         super().__init__(in_features, hidden, rng)
 
-    def _sampling_plan(self, adj: List[List[int]]) -> dict:
-        """Precompute everything about ``adj`` that sampling reuses.
+    def _sampling_plan(self, adj: List[List[int]]) -> tuple:
+        """Precompute everything about ``adj`` that sampling reuses, as
+        ``(idx, wts, rows, bases, starts, flat, bounds)``:
 
         * ``idx``/``wts`` — the (n, p) operator with every row of degree
           ≤ p already filled (those rows never change between draws) and
@@ -233,11 +232,8 @@ class GraphSAGEEncoder(GraphEncoder):
           ``j = d-p .. d-1``, then the output shuffle draws
           ``integers(0, i+1)`` for ``i = p-1 .. 1``.
         """
-        key = id(adj)
-        degrees = [len(x) for x in adj]
-        plan = self._plan_cache.get(key)
-        if plan is not None and plan["adj"] is adj and plan["degrees"] == degrees:
-            return plan
+        if self._plan is not None and self._plan[0] is adj:
+            return self._plan[1]
         p = self.sample_size
         idx = np.zeros((len(adj), p), dtype=np.int64)
         wts = np.zeros((len(adj), p))
@@ -257,20 +253,11 @@ class GraphSAGEEncoder(GraphEncoder):
                 idx[i, :d] = neigh
                 wts[i, :d] = 1.0 / d
         wts[rows] = 1.0 / p
-        plan = {
-            "adj": adj,
-            "degrees": degrees,
-            "idx": idx,
-            "wts": wts,
-            "rows": np.asarray(rows, dtype=np.int64),
-            "bases": np.asarray([degrees[i] - p for i in rows], dtype=np.int64),
-            "starts": np.asarray(starts, dtype=np.int64),
-            "flat": np.asarray(flat, dtype=np.int64),
-            "bounds": np.asarray(bounds, dtype=np.int64),
-        }
-        if len(self._plan_cache) >= 64:
-            self._plan_cache.clear()
-        self._plan_cache[key] = plan
+        bases = [len(adj[i]) - p for i in rows]
+        plan = (idx, wts) + tuple(
+            np.asarray(a, dtype=np.int64) for a in (rows, bases, starts, flat, bounds)
+        )
+        self._plan = (adj, plan)
         return plan
 
     def aggregation_operator(
@@ -287,13 +274,9 @@ class GraphSAGEEncoder(GraphEncoder):
         neighbour carries the same 1/p weight, so the aggregate doesn't
         depend on sample order.
         """
-        plan = self._sampling_plan(adj)
-        idx = plan["idx"]
-        bounds = plan["bounds"]
+        idx, wts, rows, bases, starts, flat, bounds = self._sampling_plan(adj)
         if bounds.size:
             p = self.sample_size
-            rows = plan["rows"]
-            bases = plan["bases"]
             # (m, 2p-1) draws per sampled row: p Floyd draws, then p-1
             # output-shuffle draws whose permutation is irrelevant here.
             draws = self.rng.integers(0, bounds).reshape(len(rows), 2 * p - 1)
@@ -306,8 +289,8 @@ class GraphSAGEEncoder(GraphEncoder):
                 hit = (chosen[:, :k] == col[:, None]).any(axis=1)
                 col[hit] = bases[hit] + k
             idx = idx.copy()
-            idx[rows] = plan["flat"][plan["starts"][:, None] + chosen]
-        return idx, plan["wts"]
+            idx[rows] = flat[starts[:, None] + chosen]
+        return idx, wts
 
     def _aggregate(self, op, h: np.ndarray) -> np.ndarray:
         idx, wts = op

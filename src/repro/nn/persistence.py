@@ -13,7 +13,7 @@ fails loudly instead of silently corrupting weights.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import List, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 

@@ -9,7 +9,7 @@ equivalent of the paper's ``p̂(s_t) = p(s_t) * c_t`` renormalisation.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 

@@ -15,7 +15,7 @@ master queue and are re-offered next tick.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Protocol, Sequence
+from typing import Dict, List, Protocol, Sequence
 
 from repro.core.state_storage import SystemSnapshot
 from repro.sim.request import ServiceRequest

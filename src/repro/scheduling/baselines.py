@@ -22,7 +22,7 @@ them on both sides of the pairing matrix in Fig. 12).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np

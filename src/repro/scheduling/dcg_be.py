@@ -35,13 +35,10 @@ from repro.sim.request import ServiceRequest
 
 from .base import Assignment
 
-__all__ = ["DCGBEConfig", "DCGBEScheduler", "N_NODE_FEATURES", "build_topology"]
+__all__ = ["DCGBEConfig", "DCGBEScheduler", "N_NODE_FEATURES"]
 
 #: per-node feature count (see _features).
 N_NODE_FEATURES = 8
-
-#: delay (one-way, ms) under which two clusters get a WAN gateway edge.
-WAN_EDGE_DELAY_MS = 40.0
 
 
 @dataclass
@@ -60,31 +57,6 @@ class DCGBEConfig:
     seed: int = 0
     #: cap per dispatch round so one burst cannot starve the tick budget.
     max_per_round: int = 256
-
-
-def build_topology(nodes: Sequence[NodeSnapshot], snapshot: SystemSnapshot):
-    """Adjacency list over worker nodes: LAN cliques + WAN gateway edges."""
-    adj: List[List[int]] = [[] for _ in nodes]
-    by_cluster: Dict[int, List[int]] = {}
-    for idx, node in enumerate(nodes):
-        by_cluster.setdefault(node.cluster_id, []).append(idx)
-    # LAN: complete graph within a cluster
-    for members in by_cluster.values():
-        for i in members:
-            for j in members:
-                if i != j:
-                    adj[i].append(j)
-    # WAN: first worker of each cluster pair acts as gateway
-    clusters = sorted(by_cluster)
-    central = snapshot.central_cluster_id
-    for ai, a in enumerate(clusters):
-        for b in clusters[ai + 1 :]:
-            delay = snapshot.delay_ms[a][b]
-            if delay <= WAN_EDGE_DELAY_MS or central in (a, b):
-                ga, gb = by_cluster[a][0], by_cluster[b][0]
-                adj[ga].append(gb)
-                adj[gb].append(ga)
-    return adj
 
 
 class DCGBEScheduler:
@@ -123,9 +95,6 @@ class DCGBEScheduler:
         self.requeues = 0
         #: lifecycle emitter; rewired by the runner, null when standalone.
         self.emitter = NULL_EMITTER
-        #: ``(snapshot, adj)``: the topology of the last snapshot seen.
-        #: Pinning the snapshot reference keys the cache by identity.
-        self._static_cache: Optional[tuple] = None
 
     def _make_agent(self, encoder: GraphEncoder, rng: np.random.Generator):
         """The learner acting on the encoded state (A2C for DCG-BE)."""
@@ -178,7 +147,7 @@ class DCGBEScheduler:
             return []
         view = snapshot.view()
         nodes = view.nodes
-        adj = self._static_state(snapshot)
+        adj = snapshot.topology()
         # working copies updated as this round assigns requests
         cpu_ava = view.cpu_available.copy()
         mem_ava = view.mem_available.copy()
@@ -257,20 +226,10 @@ class DCGBEScheduler:
         self._completion_mass = state["completion_mass"]
         self.decisions = state["decisions"]
         self.requeues = state["requeues"]
-        self._static_cache = None
 
     # ------------------------------------------------------------------ #
     # state + reward construction
     # ------------------------------------------------------------------ #
-    def _static_state(self, snapshot: SystemSnapshot) -> List[List[int]]:
-        """The snapshot's adjacency list, built once per refresh period."""
-        cache = self._static_cache
-        if cache is None or cache[0] is not snapshot:
-            cache = self._static_cache = (
-                snapshot, build_topology(snapshot.nodes, snapshot)
-            )
-        return cache[1]
-
     @staticmethod
     def _features_fast(
         view: NodeView,

@@ -10,7 +10,6 @@ across the network: a dispatch decision schedules a future delivery at
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 __all__ = ["TICK_MS", "Clock", "DeliveryQueue"]

@@ -17,8 +17,8 @@ tick loop via :meth:`apply`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Set
 
 import numpy as np
 

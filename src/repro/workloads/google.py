@@ -31,7 +31,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Sequence, TextIO, Union
+from typing import Iterator, List, Optional, Sequence, TextIO, Union
 
 from .spec import ServiceKind, ServiceSpec, default_catalog
 from .trace import TraceRecord

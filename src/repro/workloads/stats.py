@@ -9,7 +9,7 @@ them; tests pin them for the synthetic generator; examples print them.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
 import numpy as np

@@ -42,6 +42,9 @@ DURATION_MS = 6_000.0
 #: mid-run, not period-aligned: the collector holds a partial period and
 #: requests are in flight, so a shallow checkpoint would diverge.
 CHECKPOINT_MS = 2_775.0
+#: one tick after the 2 700 ms refresh (period 100 ms): the resumed leg's
+#: first tick reads the restored snapshot and its topology.
+OFF_REFRESH_MS = 2_725.0
 
 
 def fingerprint(metrics) -> dict:
@@ -82,13 +85,13 @@ def build(factory, seed, *, observe=False, failures=None, clusters=3, workers=3)
     return TangoSystem(config), trace
 
 
-def straight_vs_resumed(factory, seed, **kwargs):
+def straight_vs_resumed(factory, seed, at_ms=CHECKPOINT_MS, **kwargs):
     """Fingerprints of (straight run, checkpoint-at-t-then-resume run)."""
     straight_system, trace = build(factory, seed, **kwargs)
     straight = fingerprint(straight_system.run(trace))
 
     leg1_system, _ = build(factory, seed, **kwargs)
-    leg1_system.run(trace, until_ms=CHECKPOINT_MS)
+    leg1_system.run(trace, until_ms=at_ms)
     checkpoint = leg1_system.last_runner.checkpoint()
 
     leg2_system, _ = build(factory, seed, **kwargs)
@@ -99,9 +102,13 @@ def straight_vs_resumed(factory, seed, **kwargs):
 class TestResumeFingerprintParity:
     """checkpoint(t) + resume == straight run, bit for bit."""
 
-    @pytest.mark.parametrize("seed", [1, 7])
-    def test_tango(self, seed):
-        straight, resumed = straight_vs_resumed(TangoConfig.tango, seed)
+    @pytest.mark.parametrize(
+        "seed, at_ms",
+        [(1, CHECKPOINT_MS), (7, CHECKPOINT_MS), (1, OFF_REFRESH_MS), (7, OFF_REFRESH_MS)],
+        ids=["1", "7", "1-2725", "7-2725"],
+    )
+    def test_tango(self, seed, at_ms):
+        straight, resumed = straight_vs_resumed(TangoConfig.tango, seed, at_ms)
         assert resumed == straight
 
     @pytest.mark.parametrize("seed", [1, 7])
@@ -119,14 +126,24 @@ class TestResumeFingerprintParity:
         straight, resumed = straight_vs_resumed(TangoConfig.ceres, 3)
         assert resumed == straight
 
-    def test_dsaco_shared_scheduler(self):
+    @pytest.mark.parametrize("at_ms", [CHECKPOINT_MS, OFF_REFRESH_MS], ids=["2775", "2725"])
+    def test_dsaco_shared_scheduler(self, at_ms):
         # DSACO serves both roles through one object: the checkpoint must
         # snapshot it once, and restore must keep the sharing intact.
-        straight, resumed = straight_vs_resumed(TangoConfig.dsaco, 2)
+        straight, resumed = straight_vs_resumed(TangoConfig.dsaco, 2, at_ms)
         assert resumed == straight
 
-    @pytest.mark.parametrize("observe", [False, True])
-    def test_with_failure_injection(self, observe):
+    @pytest.mark.parametrize(
+        "observe, at_ms",
+        [
+            (False, CHECKPOINT_MS),
+            (True, CHECKPOINT_MS),
+            (False, OFF_REFRESH_MS),
+            (True, OFF_REFRESH_MS),
+        ],
+        ids=["False", "True", "False-2725", "True-2725"],
+    )
+    def test_with_failure_injection(self, observe, at_ms):
         # crashes + partitions: injector RNG position and schedule, down
         # sets, and crash-displaced requests must all round-trip.
         failures = FailureConfig(
@@ -137,7 +154,7 @@ class TestResumeFingerprintParity:
             seed=5,
         )
         straight, resumed = straight_vs_resumed(
-            TangoConfig.tango, 4, observe=observe, failures=failures
+            TangoConfig.tango, 4, at_ms, observe=observe, failures=failures
         )
         assert resumed == straight
 
@@ -182,9 +199,7 @@ class TestStorageState:
         straight = fingerprint(straight_system.run(trace))
 
         leg1_system, _ = build(TangoConfig.tango, 1)
-        # one tick after the 2 700 ms refresh: the resumed leg's first tick
-        # still reads the restored snapshot (refresh period 100 ms)
-        leg1_system.run(trace, until_ms=2_725.0)
+        leg1_system.run(trace, until_ms=OFF_REFRESH_MS)
         checkpoint = leg1_system.last_runner.checkpoint()
         storage = checkpoint.state["components"]["storage"]
         current = storage["snapshot"]

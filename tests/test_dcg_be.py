@@ -5,12 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from repro.core.state_storage import NodeSnapshot, SystemSnapshot
-from repro.scheduling.dcg_be import (
-    DCGBEConfig,
-    DCGBEScheduler,
-    build_topology,
-)
+from repro.core.state_storage import NodeSnapshot, SystemSnapshot, build_topology
+from repro.scheduling.dcg_be import DCGBEConfig, DCGBEScheduler
 from repro.scheduling.gnn_sac import GNNSACScheduler
 from repro.baselines.dsaco import DSACOScheduler
 from repro.sim.request import ServiceRequest
@@ -64,15 +60,16 @@ class TestTopologyBuilder:
 
     def test_distant_noncentral_clusters_not_linked(self):
         nodes = [node("a", 1), node("b", 2), node("x", 0)]
-        snap = snapshot(nodes, central=0)
-        adj = build_topology(nodes, snap)
-        # clusters 1 and 2 are adjacent (20ms ≤ 40ms) so they ARE linked;
-        # make them distant instead
-        snap.delay_ms[1][2] = snap.delay_ms[2][1] = 90.0
-        adj = build_topology(nodes, snap)
-        assert 1 not in adj[0] or True  # smoke structure
-        a_idx, b_idx = 0, 1
-        assert b_idx not in adj[a_idx]
+        # clusters 1 and 2 are 20 ms apart (≤ 40 ms), so they are linked
+        assert 1 in build_topology(nodes, snapshot(nodes, central=0))[0]
+        # 90 ms apart and neither is central: no gateway edge between them
+        delays = [[1.0, 20.0, 80.0], [20.0, 1.0, 90.0], [80.0, 90.0, 1.0]]
+        far = SystemSnapshot(
+            time_ms=0.0, nodes=nodes, delay_ms=delays, central_cluster_id=0
+        )
+        adj = build_topology(nodes, far)
+        assert 1 not in adj[0] and 0 not in adj[1]
+        assert 2 in adj[0] and 2 in adj[1]
 
 
 class TestDispatch:

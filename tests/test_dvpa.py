@@ -3,8 +3,7 @@
 import pytest
 
 from repro.cluster.resources import ResourceVector
-from repro.hrm.dvpa import DVPA, DVPA_SCALE_LATENCY_MS
-from repro.kube.kubelet import CONTAINER_COLD_START_MS
+from repro.hrm.dvpa import DVPA
 from repro.kube.objects import ContainerSpec, Pod, PodSpec
 from repro.kube.vpa import NativeVPA
 

@@ -1,9 +1,6 @@
 """Edge-case tests across modules (rounding, clamps, degenerate inputs)."""
 
-import math
-
 import numpy as np
-import pytest
 
 from repro.cluster.resources import ResourceVector
 from repro.flow.graph import solve_transport

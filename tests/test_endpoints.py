@@ -1,7 +1,5 @@
 """Endpoints controller tests: watch-driven Service endpoint tracking."""
 
-import pytest
-
 from repro.cluster.resources import ResourceVector
 from repro.kube.api_server import ApiServer
 from repro.kube.endpoints import EndpointsResolver

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.kube.events import ClusterEvent, EventRecorder, Reason
+from repro.kube.events import EventRecorder, Reason
 
 
 class TestRecorder:

@@ -5,8 +5,6 @@ assert that every harness builds, runs at a reduced scale, and returns the
 structure the benches consume.  Heavy learning arms are excluded here.
 """
 
-import pytest
-
 from repro.experiments import common
 from repro.experiments.dss_latency import run_dss_latency
 from repro.experiments.dvpa_latency import run_dvpa_latency

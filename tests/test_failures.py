@@ -1,7 +1,5 @@
 """Failure-injection tests: crashes, partitions, and graceful degradation."""
 
-import pytest
-
 from repro import TangoConfig, TangoSystem
 from repro.cluster.topology import EdgeCloudSystem, TopologyConfig
 from repro.sim.failures import FailureConfig, FailureInjector

@@ -197,10 +197,24 @@ class TestGraphSAGE:
         finally:
             tracemalloc.stop()
         assert peak < n * n * 8
-        for plan in enc._plan_cache.values():
-            for value in plan.values():
-                if isinstance(value, np.ndarray):
-                    assert value.size < n * n
+        held, plan = enc._plan
+        assert held is adj
+        assert all(value.size < n * n for value in plan)
+
+    def test_alternating_topologies_match_fresh_encoders(self):
+        """Encoding A, B, A, A with one encoder (one held plan: a rebuild
+        per switch, a reuse on the repeat) gives the outputs and RNG
+        position of a fresh encoder per call."""
+        a = tuple(map(tuple, clique_of_cliques(3, 5)))
+        b = tuple(map(tuple, MIXED_ADJ))
+        enc = GraphSAGEEncoder(4, [6, 6], np.random.default_rng(3))
+        for adj in (a, b, a, a):
+            fresh = GraphSAGEEncoder(4, [6, 6], np.random.default_rng(3))
+            fresh.rng.bit_generator.state = enc.rng.bit_generator.state
+            x = np.random.default_rng(len(adj)).normal(size=(len(adj), 4))
+            np.testing.assert_array_equal(enc.encode(x, adj), fresh.encode(x, adj))
+            assert enc.rng.bit_generator.state == fresh.rng.bit_generator.state
+            assert enc._plan[0] is adj
 
     def test_rejects_bad_sample_size(self, rng):
         with pytest.raises(ValueError):

@@ -24,7 +24,7 @@ from repro.sim.invariants import (
     RuntimeInvariantChecker,
     Violation,
 )
-from repro.sim.runner import RunnerConfig, SimulationRunner
+from repro.sim.runner import RunnerConfig
 from repro.workloads.trace import SyntheticTrace, TraceConfig
 
 STACKS = {

@@ -1,7 +1,6 @@
 """Min-cost max-flow solver tests, including cross-checks vs networkx."""
 
 import networkx as nx
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 

@@ -3,12 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.flow.multicommodity import (
-    Commodity,
-    MultiCommodityResult,
-    SharedLink,
-    solve_sequential,
-)
+from repro.flow.multicommodity import Commodity, SharedLink, solve_sequential
 
 
 def star_links(n_workers, delay=1.0, capacity=10):

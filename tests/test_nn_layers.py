@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn.layers import Dense, ReLU, Sequential, Tanh, mlp
+from repro.nn.layers import Dense, ReLU, Tanh, mlp
 
 
 def numerical_grad(f, x, eps=1e-6):

@@ -1,6 +1,5 @@
 """Worker-node runtime tests: admission, execution, conservation invariants."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 

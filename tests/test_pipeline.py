@@ -12,8 +12,6 @@ from __future__ import annotations
 import inspect
 import logging
 
-import pytest
-
 from repro import TangoConfig, TangoSystem
 from repro.cluster.topology import TopologyConfig
 from repro.obs.events import RequestDropped, RequestRequeued
@@ -21,7 +19,7 @@ from repro.sim.failures import FailureConfig
 from repro.sim.pipeline import STAGE_NAMES, requeue_evicted
 from repro.sim.request import ServiceRequest
 from repro.sim.runner import RunnerConfig, SimulationRunner
-from repro.workloads.spec import ServiceKind, default_catalog
+from repro.workloads.spec import ServiceKind
 from repro.workloads.trace import SyntheticTrace, TraceConfig, TraceRecord
 
 

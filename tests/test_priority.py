@@ -1,6 +1,5 @@
 """ρ(·) priority-policy tests (DSS-LC case-2 split extension point)."""
 
-import numpy as np
 import pytest
 
 from repro.scheduling.priority import (

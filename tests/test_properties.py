@@ -8,7 +8,7 @@ from repro.cluster.resources import ResourceVector
 from repro.flow.graph import solve_transport
 from repro.hrm.qos import QoSDetector
 from repro.hrm.reassurance import ReassuranceConfig, ReassuranceMechanism
-from repro.kube.cgroups import CFS_PERIOD_US, CGroupError, CGroupTree
+from repro.kube.cgroups import CGroupTree
 from repro.workloads.spec import ServiceKind, default_catalog
 
 CATALOG = default_catalog()

@@ -1,12 +1,10 @@
 """End-to-end integration tests for the simulation runner and TangoSystem."""
 
-import numpy as np
 import pytest
 
 from repro import TangoConfig, TangoSystem
 from repro.cluster.topology import TopologyConfig
 from repro.sim.runner import RunnerConfig
-from repro.workloads.spec import ServiceKind
 from repro.workloads.trace import SyntheticTrace, TraceConfig
 
 

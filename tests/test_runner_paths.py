@@ -1,10 +1,8 @@
 """Runner path tests: distributed BE, drop caps, delay accounting."""
 
-import pytest
-
 from repro import TangoConfig, TangoSystem
 from repro.cluster.topology import TopologyConfig
-from repro.sim.runner import RunnerConfig, SimulationRunner
+from repro.sim.runner import RunnerConfig
 from repro.workloads.spec import ServiceKind, default_catalog
 from repro.workloads.trace import SyntheticTrace, TraceConfig, TraceRecord
 

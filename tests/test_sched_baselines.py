@@ -1,7 +1,5 @@
 """Scheduling-baseline tests: load-greedy, K8s-native RR, scoring."""
 
-import pytest
-
 from repro.core.state_storage import NodeSnapshot, SystemSnapshot
 from repro.scheduling.baselines import (
     K8sNativeScheduler,

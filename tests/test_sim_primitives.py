@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from repro.cluster.resources import ResourceVector
 from repro.sim.engine import Clock, DeliveryQueue
 from repro.sim.latency import LatencyModel
-from repro.sim.request import RequestState, ServiceRequest
+from repro.sim.request import ServiceRequest
 from repro.workloads.spec import ServiceKind, default_catalog
 
 rv = ResourceVector.of

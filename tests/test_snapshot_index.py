@@ -11,6 +11,7 @@ from repro.core.state_storage import (
     NodeSnapshot,
     StateStorage,
     SystemSnapshot,
+    build_topology,
 )
 from repro.sim.request import ServiceRequest
 from repro.workloads.spec import ServiceKind, default_catalog
@@ -100,6 +101,32 @@ class TestIndexes:
             assert column.dtype == dtype
             assert not column.flags.writeable
             assert column.tolist() == [getattr(n, name) for _, n in want]
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        nodes=node_lists(),
+        subset=st.one_of(st.none(), st.lists(st.integers(0, 4), max_size=5)),
+        delays=st.lists(st.sampled_from([5.0, 40.0, 90.0]), min_size=25, max_size=25),
+        central=st.integers(0, 4),
+    )
+    def test_topology_equals_builder_over_filtered_nodes(
+        self, nodes, subset, delays, central
+    ):
+        """The memoised topology of a view is the graph built over the
+        filtered node list, for any cluster order and key spelling."""
+        snap = SystemSnapshot(
+            time_ms=0.0,
+            nodes=nodes,
+            delay_ms=[delays[5 * a : 5 * a + 5] for a in range(5)],
+            central_cluster_id=central,
+        )
+        kept = [n for n in nodes if subset is None or n.cluster_id in set(subset)]
+        adj = snap.topology(subset)
+        assert adj == build_topology(kept, snap)
+        assert adj == build_topology(snap.view(subset).nodes, snap)
+        assert all(type(row) is tuple for row in adj)
+        again = None if subset is None else list(reversed(subset)) + list(subset)
+        assert snap.topology(again) is adj
 
     def test_nodes_of_preserves_seed_ordering(self):
         """Subset order must equal a filter of the global node order."""

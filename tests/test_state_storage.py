@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cluster.topology import EdgeCloudSystem, TopologyConfig
-from repro.core.state_storage import StateStorage
+from repro.core.state_storage import StateStorage, build_topology
 from repro.sim.request import ServiceRequest
 from repro.workloads.spec import ServiceKind, default_catalog
 
@@ -93,3 +93,27 @@ class TestStaleness:
         system = make_system()
         snap = StateStorage(system).refresh(0.0)
         assert snap.central_cluster_id == system.central_cluster_id
+
+
+class TestTopology:
+    def test_unchanged_worker_set_keeps_topology(self):
+        storage = StateStorage(make_system())
+        snap1 = storage.refresh(0.0)
+        adj, subset = snap1.topology(), snap1.topology([1, 2])
+        snap2 = storage.refresh(1.0, force=True)
+        assert snap2 is not snap1
+        assert snap2.topology() is adj
+        assert snap2.topology([2, 1]) is subset
+
+    def test_hidden_node_rebuilds_topology(self):
+        """Hiding a node, as a crash does, gives a new graph over the
+        remaining nodes; showing it again gives the original graph back."""
+        storage = StateStorage(make_system())
+        before = storage.refresh(0.0).topology()
+        storage.node_filter = lambda name, cluster: name != "c0-w0"
+        snap = storage.refresh(1.0, force=True)
+        assert len(snap.nodes) == len(before) - 1
+        assert snap.topology() is not before
+        assert snap.topology() == build_topology(snap.nodes, snap)
+        storage.node_filter = None
+        assert storage.refresh(2.0, force=True).topology() == before

@@ -1,7 +1,5 @@
 """TangoSystem assembly tests: factories, adapters, scheduler injection."""
 
-import pytest
-
 from repro import TangoConfig, TangoSystem
 from repro.baselines.ceres import CeresManager
 from repro.baselines.dsaco import DSACOScheduler

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.workloads.patterns import PatternConfig, PatternKind, PatternWorkload
-from repro.workloads.spec import CatalogError, ServiceKind, ServiceSpec, default_catalog
+from repro.workloads.spec import CatalogError, ServiceKind, ServiceSpec
 from repro.workloads.trace import SyntheticTrace, TraceConfig, diurnal_rate
 from repro.cluster.resources import ResourceVector
 
