@@ -49,6 +49,10 @@ class DSACOConfig:
 class DSACOScheduler:
     """Distributed SAC offloading for mixed queues (LC role + BE role)."""
 
+    #: the BE role has no central dispatcher either: the runner calls
+    #: :meth:`dispatch` per origin cluster over its nearby clusters.
+    distributed = True
+
     def __init__(self, config: Optional[DSACOConfig] = None, *, greedy: bool = False):
         self.config = config or DSACOConfig()
         cfg = self.config
@@ -154,7 +158,7 @@ class DSACOScheduler:
         return feats
 
     # ------------------------------------------------------------------ #
-    # protocol adapters
+    # both roles: one call per origin cluster
     # ------------------------------------------------------------------ #
     def dispatch(
         self,
@@ -165,20 +169,3 @@ class DSACOScheduler:
         now_ms: float,
     ) -> List[Assignment]:
         return self._dispatch(requests, snapshot, eligible_clusters)
-
-    def dispatch_be(
-        self,
-        requests: Sequence[ServiceRequest],
-        snapshot: SystemSnapshot,
-        now_ms: float,
-    ) -> List[Assignment]:
-        # DSACO has no central dispatcher; in the BE role it still decides
-        # per origin cluster over that cluster's neighbourhood.
-        by_origin: dict = {}
-        for r in requests:
-            by_origin.setdefault(r.origin_cluster, []).append(r)
-        out: List[Assignment] = []
-        for origin, reqs in sorted(by_origin.items()):
-            # nearby filter applied by the runner
-            out.extend(self._dispatch(reqs, snapshot))
-        return out

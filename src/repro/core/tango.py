@@ -154,9 +154,7 @@ class TangoSystem:
         if policy == "k8s-native":
             return _BEAdapter(K8sNativeScheduler())
         if policy == "dsaco":
-            scheduler = self._shared_dsaco()
-            scheduler.distributed = True  # runner dispatches per cluster
-            return scheduler
+            return self._shared_dsaco()
         raise ValueError(policy)
 
     def _shared_dsaco(self) -> DSACOScheduler:

@@ -14,11 +14,10 @@ field of DCG-BE's node state (§5.3.1).
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict, deque
 from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Tuple
-
-import numpy as np
 
 from repro.workloads.spec import ServiceSpec
 
@@ -46,10 +45,6 @@ class QoSDetector:
         #: node → services it has samples for, so per-node queries do not
         #: scan every (node, service) window in the system.
         self._node_services: Dict[str, List[str]] = {}
-        #: memoised tail percentiles, invalidated when a window changes —
-        #: the state storage queries every (node, service) each refresh,
-        #: while only the nodes that completed work have new samples.
-        self._tail_cache: Dict[Tuple[str, str], Dict[float, float]] = {}
 
     def observe(
         self,
@@ -63,43 +58,33 @@ class QoSDetector:
             self._node_services.setdefault(node, []).append(service)
         window = self._samples[key]
         window.append(_Sample(completed_ms, latency_ms))
-        self._expire(key, window, completed_ms)
-        self._tail_cache.pop(key, None)
+        self._expire(window, completed_ms)
 
-    def _expire(
-        self, key: Tuple[str, str], window: Deque[_Sample], now_ms: float
-    ) -> None:
-        expired = False
+    def _expire(self, window: Deque[_Sample], now_ms: float) -> None:
         while (
             len(window) > self.min_keep
             and window[0].completed_ms < now_ms - self.window_ms
         ):
             window.popleft()
-            expired = True
-        if expired:
-            self._tail_cache.pop(key, None)
 
     def purge_node(self, node: str) -> None:
         """Drop every window for a node (crashed/removed: its history is
         meaningless once the node restarts cold)."""
         for service in self._node_services.pop(node, ()):
-            key = (node, service)
-            self._samples.pop(key, None)
-            self._tail_cache.pop(key, None)
+            self._samples.pop((node, service), None)
 
     # ------------------------------------------------------------------ #
     # queries
     # ------------------------------------------------------------------ #
     def tail_latency_ms(
-        self,
-        node: str,
-        service: str,
-        percentile: float = 95.0,
-        *,
-        now_ms: Optional[float] = None,
+        self, node: str, service: str, *, now_ms: Optional[float] = None
     ) -> Optional[float]:
-        key = (node, service)
-        window = self._samples.get(key)
+        """p95 of the window, bit for bit numpy's default ``linear``
+        percentile rule written out for one quantile: the virtual index
+        0.95·(n−1) falls between sorted values a and b at fraction t, and
+        the value is interpolated from b when t ≥ 0.5, else from a.
+        """
+        window = self._samples.get((node, service))
         if not window:
             return None
         if now_ms is not None:
@@ -107,18 +92,18 @@ class QoSDetector:
             # (evicted service, idle node) must not report a stale tail
             # forever.  min_keep still floors the window, exactly as in
             # observe(), so quiet-window behaviour is unchanged.
-            self._expire(key, window, now_ms)
-        cached = self._tail_cache.get(key)
-        if cached is not None:
-            value = cached.get(percentile)
-            if value is not None:
-                return value
-        else:
-            cached = self._tail_cache[key] = {}
-        values = [s.latency_ms for s in window]
-        value = float(np.percentile(values, percentile))
-        cached[percentile] = value
-        return value
+            self._expire(window, now_ms)
+        values = sorted(s.latency_ms for s in window)
+        index = 0.95 * (len(values) - 1)
+        i = int(index)
+        t = index - i
+        a = values[i]
+        if t == 0:
+            return float(a)
+        b = values[i + 1]
+        if t >= 0.5:
+            return float(b - (b - a) * (1 - t))
+        return float(a + (b - a) * t)
 
     def slack_score(
         self,
@@ -129,7 +114,7 @@ class QoSDetector:
         now_ms: Optional[float] = None,
     ) -> Optional[float]:
         """δ = 1 − ξ/γ; None when no samples exist yet."""
-        if not spec.is_lc or not np.isfinite(spec.qos_target_ms):
+        if not spec.is_lc or not math.isfinite(spec.qos_target_ms):
             return None
         tail = self.tail_latency_ms(node, service, now_ms=now_ms)
         if tail is None:
@@ -167,10 +152,10 @@ class QoSDetector:
         return {
             "samples": self._samples,
             "node_services": self._node_services,
-            "tail_cache": self._tail_cache,
         }
 
     def restore_state(self, state: Dict) -> None:
+        """States written with a tail memo carry a ``tail_cache`` key; the
+        tail is recomputed from the windows, so it is ignored."""
         self._samples = state["samples"]
         self._node_services = state["node_services"]
-        self._tail_cache = state["tail_cache"]

@@ -49,9 +49,13 @@ class LCScheduler(Protocol):
 
 
 class BEScheduler(Protocol):
-    """Centralised BE dispatch policy at the central cluster."""
+    """Centralised BE dispatch policy at the central cluster.
 
-    def dispatch(
+    A policy with ``distributed = True`` (DSACO) has no central role: the
+    runner calls its ``LCScheduler.dispatch`` once per origin cluster.
+    """
+
+    def dispatch_be(
         self,
         requests: Sequence[ServiceRequest],
         snapshot: SystemSnapshot,

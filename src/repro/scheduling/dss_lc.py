@@ -166,7 +166,6 @@ class DSSLCScheduler:
     ) -> None:
         self.config = config or DSSLCConfig()
         self.reassurance = reassurance
-        self.rng = np.random.default_rng(self.config.seed)
         #: per-master ρ(·) policies, lazily built with seed
         #: ``(config.seed, origin_cluster)``.  Each master runs Alg. 2
         #: independently in the paper, so each owns an independent random
@@ -539,7 +538,6 @@ class DSSLCScheduler:
         """RNG positions and counters.  The held re-assurance slots are
         keyed by snapshot identity and rebuilt, not restored."""
         return {
-            "rng": self.rng.bit_generator.state,
             # one stream per master; stateless policies contribute nothing
             "priority_rngs": {
                 cid: policy.rng.bit_generator.state
@@ -552,7 +550,8 @@ class DSSLCScheduler:
         }
 
     def restore_state(self, state: Dict) -> None:
-        self.rng.bit_generator.state = state["rng"]
+        """States from builds that kept an unused scheduler-wide RNG carry
+        an ``rng`` key; it is ignored."""
         self._priorities.clear()
         for cid, rng_state in state["priority_rngs"].items():
             policy = self.priority_for(cid)

@@ -49,11 +49,7 @@ from repro.sim.pipeline import (
     TickPipeline,
     build_stages,
 )
-from repro.sim.request import (
-    ServiceRequest,
-    request_id_state,
-    restore_request_id_state,
-)
+from repro.sim.request import request_id_state, restore_request_id_state
 from repro.workloads.spec import ServiceSpec
 from repro.workloads.trace import TraceRecord
 
@@ -221,32 +217,8 @@ class SimulationRunner:
             publisher.emitter = self.emitter
 
     # ------------------------------------------------------------------ #
-    # delegates — the live run state lives on the SimContext
+    # run counters — the live run state lives on the SimContext
     # ------------------------------------------------------------------ #
-    @property
-    def _deliveries(self) -> DeliveryQueue:
-        return self.ctx.deliveries
-
-    @property
-    def _central_inflight(self) -> DeliveryQueue:
-        return self.ctx.central_inflight
-
-    @property
-    def _central_be(self) -> List[ServiceRequest]:
-        return self.ctx.central_be
-
-    @property
-    def _trace(self) -> Sequence[TraceRecord]:
-        return self.ctx.trace
-
-    @property
-    def _trace_cursor(self) -> int:
-        return self.ctx.trace_cursor
-
-    @property
-    def _be_distributed(self) -> bool:
-        return self.ctx.be_distributed
-
     @property
     def dropped_be(self) -> int:
         return self.ctx.dropped_be

@@ -17,6 +17,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import repro
@@ -218,6 +219,32 @@ class TestStorageState:
         )
         assert storage["last_refresh_ms"] == 2_700.0
         storage["snapshot"] = old
+
+        leg2_system, _ = build(TangoConfig.tango, 1)
+        resumed = fingerprint(leg2_system.resume(trace, checkpoint))
+        assert resumed == straight
+
+
+class TestRetiredStateKeys:
+    def test_tail_memo_and_dss_lc_rng_are_ignored(self):
+        """A detector state carrying the retired ``tail_cache`` memo and a
+        DSS-LC state carrying the retired scheduler-wide ``rng``, as older
+        builds wrote them, resume to the straight-run fingerprint.  The
+        memo holds wrong tails, so a restore that trusted it would drift."""
+        straight_system, trace = build(TangoConfig.tango, 1)
+        straight = fingerprint(straight_system.run(trace))
+
+        leg1_system, _ = build(TangoConfig.tango, 1)
+        leg1_system.run(trace, until_ms=OFF_REFRESH_MS)
+        checkpoint = leg1_system.last_runner.checkpoint()
+        components = checkpoint.state["components"]
+        detector = components["detector"]
+        assert "tail_cache" not in detector
+        detector["tail_cache"] = {key: {95.0: 1e6} for key in detector["samples"]}
+        assert "rng" not in components["lc_scheduler"]
+        components["lc_scheduler"]["rng"] = np.random.default_rng(
+            0
+        ).bit_generator.state
 
         leg2_system, _ = build(TangoConfig.tango, 1)
         resumed = fingerprint(leg2_system.resume(trace, checkpoint))

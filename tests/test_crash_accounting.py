@@ -62,7 +62,7 @@ class TestCrashAccounting:
         )
         in_transit = sum(
             1
-            for _, _, payload in runner._deliveries._heap
+            for _, _, payload in runner.ctx.deliveries._heap
             if payload[0].is_lc
         )
         accounted = (

@@ -131,18 +131,54 @@ class TestTransportOptimality:
         assert result.total_delay_ms == pytest.approx(expected_cost, abs=0.05)
 
 
+#: a few fixed latencies so drawn windows repeat values (ties at a and b)
+REPEATED_MS = (0.5, 1.0, 1.0 / 3.0, 12.25, 40.0, 99.9, 250.0)
+LATENCY_MS = st.one_of(
+    st.floats(min_value=0.1, max_value=1_000.0), st.sampled_from(REPEATED_MS)
+)
+
+
 class TestDetectorProperties:
-    @settings(max_examples=40, deadline=None)
-    @given(
-        values=st.lists(
-            st.floats(min_value=0.1, max_value=1_000.0),
-            min_size=1,
-            max_size=60,
-        )
-    )
+    """The written-out p95 against numpy's ``linear`` percentile, bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(values=st.lists(LATENCY_MS, min_size=1, max_size=60))
     def test_tail_between_min_and_max(self, values):
         det = QoSDetector(min_keep=100)
         for i, v in enumerate(values):
             det.observe("n", "svc", float(i), v)
         tail = det.tail_latency_ms("n", "svc")
-        assert min(values) - 1e-9 <= tail <= max(values) + 1e-9
+        assert type(tail) is float
+        assert tail == float(np.percentile(values, 95))
+        assert min(values) <= tail <= max(values)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        samples=st.lists(
+            st.tuples(st.floats(min_value=0.0, max_value=400.0), LATENCY_MS),
+            min_size=1,
+            max_size=60,
+        ),
+        min_keep=st.integers(min_value=1, max_value=6),
+        now_ms=st.floats(min_value=0.0, max_value=700.0),
+    )
+    def test_tail_after_expiry_matches_numpy(self, samples, min_keep, now_ms):
+        """Random completion times, a small ``min_keep`` floor and a read at
+        ``now_ms``: the tail is the percentile of the samples that survive."""
+        det = QoSDetector(window_ms=100.0, min_keep=min_keep)
+        survivors = []
+
+        def expire(at_ms):
+            # the front sample drops while it is stale and more than
+            # min_keep remain
+            while len(survivors) > min_keep and survivors[0][0] < at_ms - 100.0:
+                survivors.pop(0)
+
+        for completed_ms, latency_ms in samples:
+            det.observe("n", "svc", completed_ms, latency_ms)
+            survivors.append((completed_ms, latency_ms))
+            expire(completed_ms)
+        tail = det.tail_latency_ms("n", "svc", now_ms=now_ms)
+        expire(now_ms)
+        assert det.sample_count("n", "svc") == len(survivors)
+        assert tail == float(np.percentile([v for _, v in survivors], 95))

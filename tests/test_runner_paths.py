@@ -35,9 +35,9 @@ class TestDistributedBEPath:
         system, metrics = small_run(be_policy="dsaco", lc_policy="dsaco",
                                     manager="static")
         runner = system.last_runner
-        assert runner._be_distributed
+        assert runner.ctx.be_distributed
         # the central forwarding queue is never used on this path
-        assert len(runner._central_be) == 0
+        assert len(runner.ctx.central_be) == 0
         assert metrics.be_completed > 0
 
     def test_centralised_be_pays_wan_forwarding(self):
