@@ -1,13 +1,12 @@
-"""Min-cost flow substrate (stands in for OR-Tools in DSS-LC)."""
+"""Min-cost flow substrate (stands in for OR-Tools in DSS-LC).
+
+DSS-LC solves every graph in closed form with :func:`solve_transport`.
+:class:`MinCostMaxFlow` is the general successive-shortest-path solver the
+fill is checked against in the tests; no scheduler calls it.
+"""
 
 from .graph import TransportResult, solve_transport
 from .mcmf import FlowEdge, FlowResult, MinCostMaxFlow
-from .multicommodity import (
-    Commodity,
-    MultiCommodityResult,
-    SharedLink,
-    solve_sequential,
-)
 
 __all__ = [
     "MinCostMaxFlow",
@@ -15,8 +14,4 @@ __all__ = [
     "FlowResult",
     "TransportResult",
     "solve_transport",
-    "Commodity",
-    "SharedLink",
-    "MultiCommodityResult",
-    "solve_sequential",
 ]

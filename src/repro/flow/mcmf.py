@@ -7,10 +7,11 @@ successive-shortest-path (SSP) algorithm with Johnson potentials: an initial
 Bellman-Ford pass handles arbitrary costs, and all subsequent augmentations
 run Dijkstra on reduced costs.
 
-The solver operates on integer capacities and integer (scaled) costs.  It
-serves the joint multi-commodity solve in :mod:`repro.flow.multicommodity`;
-the per-type DSS-LC graph is a star and is solved in closed form by
-:mod:`repro.flow.graph`, which reproduces this solver's flow exactly.
+The solver operates on integer capacities and integer (scaled) costs.  No
+scheduler calls it: every DSS-LC graph, per-type or joint, is a star and is
+solved in closed form by :mod:`repro.flow.graph`, which reproduces this
+solver's flow exactly.  It stays as the tie-rule oracle of that fill in the
+tests and as a section that ``perfbench`` traces.
 
 Storage is flat parallel arrays (src/dst/capacity/cost/flow per arc) rather
 than per-arc objects, which are cheaper to walk in the Dijkstra inner loop.

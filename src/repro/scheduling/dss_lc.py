@@ -32,7 +32,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.state_storage import NodeView, SystemSnapshot
-from repro.flow.graph import solve_transport
+from repro.flow.graph import TransportResult, solve_transport
 from repro.hrm.reassurance import ReassuranceMechanism
 from repro.obs.emitter import NULL_EMITTER
 from repro.sim.request import ServiceRequest
@@ -46,6 +46,7 @@ __all__ = [
     "DSSLCScheduler",
     "DispatchAuditRecord",
     "augmented_capacities",
+    "joint_fill",
     "slice_capacities",
 ]
 
@@ -103,6 +104,32 @@ def augmented_capacities(
     return floors
 
 
+def joint_fill(
+    pending: Sequence[int],
+    capacities: Sequence[np.ndarray],
+    delays_ms: np.ndarray,
+    link_capacity: int,
+) -> List[TransportResult]:
+    """One min-cost fill per type over shared master→worker links.
+
+    Type ``k`` routes ``pending[k]`` requests to workers that can absorb
+    ``capacities[k]`` each.  Its graph is a star with one arc per worker,
+    capped by the link's residual capacity and by the worker's bound, so
+    :func:`solve_transport` solves it exactly.  What a type absorbs leaves
+    the link's residual for the types after it; every link starts at
+    ``link_capacity``.
+    """
+    residual = np.full(len(delays_ms), link_capacity, dtype=np.int64)
+    fills = []
+    for n, caps in zip(pending, capacities):
+        fill = solve_transport(
+            n, np.minimum(residual, caps)[:, None], delays_ms[:, None]
+        )
+        residual -= fill.absorbed
+        fills.append(fill)
+    return fills
+
+
 @dataclass
 class DispatchAuditRecord:
     """Raw inputs + outcome of one per-type dispatch round.
@@ -149,8 +176,9 @@ class DSSLCConfig:
     priority: str = "random"
     #: solve all request types jointly over shared link capacities (the
     #: full multi-commodity formulation) instead of the paper's per-type
-    #: "in parallel" graphs.  Costs one sequential MCMF pass per type but
-    #: never oversubscribes a link across types.
+    #: "in parallel" graphs.  Types fill the links in turn, one closed-form
+    #: star fill each over the residual link capacities, so no link is
+    #: oversubscribed across types.
     coordinate_types: bool = False
     seed: int = 0
 
@@ -341,59 +369,37 @@ class DSSLCScheduler:
     ) -> List[Assignment]:
         """Solve every type jointly over shared master→worker links.
 
-        Node absorption stays per-commodity (each type has its own resource
+        Node absorption stays per-type (each type has its own resource
         footprint); the transmission capacities c_{i,j} of Eq. 4 are shared.
-        Requests the joint solve cannot place stay queued at the master.
+        Types take the links in turn (:func:`joint_fill`), most pending
+        requests first.
         """
-        from repro.flow.multicommodity import Commodity, SharedLink, solve_sequential
-
-        nodes = view.nodes
-        commodities: List[Commodity] = []
-        for service, reqs in groups.items():
-            _, _, capacities = self._capacities(reqs[0].spec, view, snapshot)
-            commodities.append(
-                Commodity(service, [len(reqs)] + (-capacities).tolist())
-            )
-
-        links = [
-            SharedLink(
-                0,
-                1 + i,
-                snapshot.delay_ms[origin_cluster][n.cluster_id],
-                self.config.link_capacity,
-            )
-            for i, n in enumerate(nodes)
-        ]
-        result = solve_sequential(1 + len(nodes), commodities, links)
+        delay_row = snapshot.delay_ms[origin_cluster]
+        ordered = sorted(groups, key=lambda s: len(groups[s]), reverse=True)
+        fills = joint_fill(
+            [len(groups[s]) for s in ordered],
+            [self._capacities(groups[s][0].spec, view, snapshot)[2] for s in ordered],
+            np.asarray(delay_row)[view.cluster_id],
+            self.config.link_capacity,
+        )
+        self._solves += len(fills)
+        self._augmentations += sum(fill.augmentations for fill in fills)
+        absorbed = {s: fill.absorbed for s, fill in zip(ordered, fills)}
 
         assignments: List[Assignment] = []
         #: placements per node so far this round, across all types
-        placed_now = np.zeros(len(nodes), dtype=np.int64)
+        placed_now = np.zeros(len(view.nodes), dtype=np.int64)
         for service, reqs in groups.items():
-            cursor = 0
-            for (src, dst), flow in sorted(result.flows[service].items()):
-                node = nodes[dst - 1]
-                delay = snapshot.delay_ms[origin_cluster][node.cluster_id]
-                first = cursor
-                for _ in range(flow):
-                    if cursor >= len(reqs):
-                        break
-                    assignments.append(
-                        Assignment(
-                            request=reqs[cursor],
-                            node_name=node.name,
-                            cluster_id=node.cluster_id,
-                            cost_ms=delay,
-                        )
-                    )
-                    self._flow_cost_round += delay
-                    cursor += 1
-                placed_now[dst - 1] += cursor - first
+            placed = self._assign(reqs, view, absorbed[service], delay_row)
+            for assignment in placed:
+                self._flow_cost_round += assignment.cost_ms
+            assignments.extend(placed)
+            placed_now += absorbed[service]
             # overflow the joint solve could not place follows the case-2
             # queued path (Ĝ'_k over total resources, Eq. 7-8) — critically,
             # this ships LC to busy nodes where HRM preemption frees BE-held
             # resources; holding them at the master would starve them.
-            leftover = reqs[cursor:][: self.config.max_queue_push]
+            leftover = reqs[len(placed):][: self.config.max_queue_push]
             if leftover:
                 self.case2_rounds += 1
                 r_cpu, r_mem = self._per_request_minima(
@@ -505,13 +511,25 @@ class DSSLCScheduler:
         self._solves += 1
         self._augmentations += result.augmentations
         self._flow_cost_round += result.total_delay_ms
+        return (
+            self._assign(requests, view, result.absorbed, delay_row),
+            result.absorbed,
+        )
 
+    @staticmethod
+    def _assign(
+        requests: List[ServiceRequest],
+        view: NodeView,
+        absorbed: np.ndarray,
+        delay_row: Sequence[float],
+    ) -> List[Assignment]:
+        """Hand ``requests`` out in order, walking ``absorbed`` in node order."""
         assignments: List[Assignment] = []
         cursor = 0
-        for j in np.flatnonzero(result.absorbed).tolist():
+        for j in np.flatnonzero(absorbed).tolist():
             node = view.nodes[j]
             delay = delay_row[node.cluster_id]
-            for _ in range(int(result.absorbed[j])):
+            for _ in range(int(absorbed[j])):
                 assignments.append(
                     Assignment(
                         request=requests[cursor],
@@ -521,7 +539,7 @@ class DSSLCScheduler:
                     )
                 )
                 cursor += 1
-        return assignments, result.absorbed
+        return assignments
 
     # ------------------------------------------------------------------ #
     # introspection
@@ -547,11 +565,14 @@ class DSSLCScheduler:
             "decision_latencies_ms": self.decision_latencies_ms,
             "case2_rounds": self.case2_rounds,
             "flow_cost_round": self._flow_cost_round,
+            "solves": self._solves,
+            "augmentations": self._augmentations,
         }
 
     def restore_state(self, state: Dict) -> None:
         """States from builds that kept an unused scheduler-wide RNG carry
-        an ``rng`` key; it is ignored."""
+        an ``rng`` key; it is ignored.  States written before the solver
+        counters were checkpointed restore them as zero."""
         self._priorities.clear()
         for cid, rng_state in state["priority_rngs"].items():
             policy = self.priority_for(cid)
@@ -560,6 +581,8 @@ class DSSLCScheduler:
         self.decision_latencies_ms = state["decision_latencies_ms"]
         self.case2_rounds = state["case2_rounds"]
         self._flow_cost_round = state["flow_cost_round"]
+        self._solves = state.get("solves", 0)
+        self._augmentations = state.get("augmentations", 0)
 
     def solver_stats(self) -> Dict[str, float]:
         """Cumulative G_k solve counters."""

@@ -165,6 +165,29 @@ def ship(ctx: SimContext, assignment, from_cluster: int, now_ms: float) -> None:
     )
 
 
+def dispatch_at_masters(ctx: SimContext, scheduler, *, lc: bool) -> None:
+    """Master-local dispatch of every master's LC (or BE) queue.
+
+    Each master drains its queue and dispatches it over its nearby
+    clusters; the placements are shipped and the rest queue again at the
+    master, in their order.
+    """
+    now_ms = ctx.now_ms
+    for cluster in ctx.system.clusters:
+        queue = cluster.lc_queue if lc else cluster.be_queue
+        if not queue:
+            continue
+        requests = cluster.drain_lc() if lc else cluster.drain_be()
+        eligible = ctx.system.nearby_clusters(cluster.cluster_id)
+        assignments = scheduler.dispatch(
+            cluster.cluster_id, requests, ctx.snapshot, eligible, now_ms
+        )
+        assigned = {a.request.request_id for a in assignments}
+        for assignment in assignments:
+            ship(ctx, assignment, cluster.cluster_id, now_ms)
+        queue.extend(r for r in requests if r.request_id not in assigned)
+
+
 # ---------------------------------------------------------------------- #
 # stages
 # ---------------------------------------------------------------------- #
@@ -264,21 +287,7 @@ class LCDispatchStage(Stage):
     name = "lc"
 
     def run(self, ctx: SimContext) -> None:
-        now_ms = ctx.now_ms
-        for cluster in ctx.system.clusters:
-            if not cluster.lc_queue:
-                continue
-            requests = cluster.drain_lc()
-            eligible = ctx.system.nearby_clusters(cluster.cluster_id)
-            assignments = ctx.lc_scheduler.dispatch(
-                cluster.cluster_id, requests, ctx.snapshot, eligible, now_ms
-            )
-            assigned_ids = {a.request.request_id for a in assignments}
-            for assignment in assignments:
-                ship(ctx, assignment, cluster.cluster_id, now_ms)
-            for request in requests:
-                if request.request_id not in assigned_ids:
-                    cluster.lc_queue.append(request)
+        dispatch_at_masters(ctx, ctx.lc_scheduler, lc=True)
 
 
 class BEDispatchStage(Stage):
@@ -292,20 +301,7 @@ class BEDispatchStage(Stage):
         central = ctx.system.central_cluster_id
         if ctx.be_distributed:
             # DSACO-style: each cluster dispatches its own BE queue locally.
-            for cluster in ctx.system.clusters:
-                if not cluster.be_queue:
-                    continue
-                requests = cluster.drain_be()
-                eligible = ctx.system.nearby_clusters(cluster.cluster_id)
-                assignments = ctx.be_scheduler.dispatch(
-                    cluster.cluster_id, requests, ctx.snapshot, eligible, now_ms
-                )
-                assigned = {a.request.request_id for a in assignments}
-                for a in assignments:
-                    ship(ctx, a, cluster.cluster_id, now_ms)
-                for r in requests:
-                    if r.request_id not in assigned:
-                        cluster.be_queue.append(r)
+            dispatch_at_masters(ctx, ctx.be_scheduler, lc=False)
             return
 
         # forward to central (paying WAN delay once)

@@ -251,6 +251,32 @@ class TestRetiredStateKeys:
         assert resumed == straight
 
 
+class TestSolverCounters:
+    def test_dss_lc_solver_stats_survive_resume(self):
+        """The DSS-LC solve and augmentation counters round-trip; only the
+        wall-clock decision latency may differ between the legs.  A state
+        written before the counters were checkpointed still resumes."""
+        straight_system, trace = build(TangoConfig.tango, 1)
+        straight_metrics = fingerprint(straight_system.run(trace))
+        straight = straight_system.lc_scheduler.solver_stats()
+
+        leg1_system, _ = build(TangoConfig.tango, 1)
+        leg1_system.run(trace, until_ms=CHECKPOINT_MS)
+        checkpoint = leg1_system.last_runner.checkpoint()
+        old = copy.deepcopy(checkpoint)
+
+        leg2_system, _ = build(TangoConfig.tango, 1)
+        leg2_system.resume(trace, checkpoint)
+        resumed = leg2_system.lc_scheduler.solver_stats()
+        del straight["mean_decision_latency_ms"], resumed["mean_decision_latency_ms"]
+        assert resumed == straight
+
+        state = old.state["components"]["lc_scheduler"]
+        del state["solves"], state["augmentations"]
+        leg3_system, _ = build(TangoConfig.tango, 1)
+        assert fingerprint(leg3_system.resume(trace, old)) == straight_metrics
+
+
 class TestForkSemantics:
     def test_one_checkpoint_resumes_twice_identically(self):
         system, trace = build(TangoConfig.tango, 1)

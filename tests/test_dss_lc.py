@@ -387,6 +387,16 @@ class TestCoordinatedTypes:
         assert len(out) == 8
         assert sched.case2_rounds >= 1
 
+    def test_each_joint_fill_counts_as_a_solve(self):
+        sched = DSSLCScheduler(DSSLCConfig(coordinate_types=True))
+        mixed = requests(3, LC) + requests(3, LC2)
+        out = sched.dispatch(0, mixed, snapshot(self.nodes()), [0, 1], 0.0)
+        # both types fit on the nearest node: one fill and one arc each
+        assert {a.node_name for a in out} == {"a"}
+        stats = sched.solver_stats()
+        assert (stats["solves"], stats["augmentations"]) == (2, 2)
+        assert stats["case2_rounds"] == 0
+
     def test_single_type_falls_back_to_parallel_path(self):
         sched = DSSLCScheduler(DSSLCConfig(coordinate_types=True))
         out = sched.dispatch(0, requests(3, LC), snapshot(self.nodes()), [0, 1], 0.0)

@@ -1,6 +1,6 @@
 """Differential tests against the reference oracles in repro.flow.reference.
 
-Three production hot paths get an obviously-correct shadow here:
+Four production paths get an obviously-correct shadow here:
 
 * the flat-array SSP+Johnson solver (:class:`MinCostMaxFlow`) vs the
   textbook Bellman-Ford reference (:class:`ReferenceMCMF`) on randomized
@@ -9,6 +9,9 @@ Three production hot paths get an obviously-correct shadow here:
 * the closed-form star fill DSS-LC solves ``G_k`` with
   (:func:`solve_transport`) vs both solvers on the lowered network, on
   DSS-LC stars where equal costs are common;
+* DSS-LC's joint multi-type fill (:func:`joint_fill`) vs one SSP solve
+  per type on the lowered network, with the shared link capacities
+  carried from type to type;
 * the vectorized Eq. 2 capacity expression in DSS-LC vs its scalar
   re-statement (:func:`eq2_capacities_scalar`) across dtypes and edge
   values.
@@ -18,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.flow.graph import COST_SCALE, solve_transport
 from repro.flow.mcmf import MinCostMaxFlow
@@ -27,7 +30,11 @@ from repro.flow.reference import (
     eq2_capacities_scalar,
     node_units_scalar,
 )
-from repro.scheduling.dss_lc import SLICE_SURCHARGES_MS, slice_capacities
+from repro.scheduling.dss_lc import (
+    SLICE_SURCHARGES_MS,
+    joint_fill,
+    slice_capacities,
+)
 
 
 # ---------------------------------------------------------------------- #
@@ -276,6 +283,89 @@ class TestClosedFormStar:
         ]
         # the link capacity c_ij bounds a worker's arcs in total
         assert slice_capacities([100], 50, 4).tolist() == [[2, 2, 0]]
+
+
+# ---------------------------------------------------------------------- #
+# DSS-LC's joint multi-type fill vs per-type SSP over shared links
+# ---------------------------------------------------------------------- #
+@st.composite
+def joint_instances(draw):
+    """(pending, capacities, delays, link_capacity) of one joint dispatch.
+
+    Types come in the order the scheduler fills them.  Delays are drawn
+    from a few values, two of which round to the same integer cost, so
+    equal-cost workers are common; capacities and the link capacity reach
+    zero, and small link capacities make shared links bind.
+    """
+    n = draw(st.integers(min_value=1, max_value=12))
+    types = draw(st.integers(min_value=1, max_value=4))
+    delays = draw(
+        st.lists(
+            st.sampled_from([0.0, 1.0, 1.0004, 6.0, 12.0]),
+            min_size=n, max_size=n,
+        )
+    )
+    capacities = draw(
+        st.lists(
+            st.lists(st.integers(min_value=0, max_value=8), min_size=n, max_size=n),
+            min_size=types, max_size=types,
+        )
+    )
+    pending = draw(
+        st.lists(st.integers(min_value=1, max_value=12), min_size=types, max_size=types)
+    )
+    link = draw(st.integers(min_value=0, max_value=6))
+    return pending, capacities, delays, link
+
+
+def _lowered_joint(pending, capacities, delays, link):
+    """Solve each type with :class:`MinCostMaxFlow`, carrying residual links.
+
+    Per type: super-source → master (``pending``) → shared link (the
+    residual, cost = delay) → worker → super-sink (the worker's capacity).
+    Nodes: master 0, workers 1..n, super-source n+1, super-sink n+2.  Arcs
+    go in as: the source arc, the worker→sink arcs, then the links with
+    capacity left, each group in worker order (SSP's equal-cost choice
+    follows arc order).  Returns ``(absorbed, augmentations)`` per type.
+    """
+    n = len(delays)
+    residual = [link] * n
+    out = []
+    for demand, caps in zip(pending, capacities):
+        net = MinCostMaxFlow(n + 3)
+        net.add_edge(n + 1, 0, demand, 0)
+        for i, cap in enumerate(caps):
+            if cap > 0:
+                net.add_edge(1 + i, n + 2, cap, 0)
+        links = [
+            (net.add_edge(0, 1 + i, residual[i], max(0, int(round(d * COST_SCALE)))), i)
+            for i, d in enumerate(delays)
+            if residual[i] > 0
+        ]
+        result = net.solve(n + 1, n + 2)
+        absorbed = [0] * n
+        for edge, i in links:
+            absorbed[i] = result.edge_flows[edge]
+            residual[i] -= absorbed[i]
+        out.append((absorbed, net.augmentations))
+    return out
+
+
+class TestJointFill:
+    @settings(max_examples=300, deadline=None)
+    @given(joint_instances())
+    @example(([4, 4], [[8, 8], [8, 8]], [1.0, 1.0004], 2))  # links bind
+    @example(([3, 2], [[0, 5, 5], [5, 0, 5]], [6.0, 6.0, 6.0], 6))  # ties
+    @example(([5], [[3, 0]], [0.0, 1.0], 0))  # no link capacity
+    def test_matches_ssp_per_type(self, instance):
+        pending, capacities, delays, link = instance
+        fills = joint_fill(
+            pending, [np.array(c) for c in capacities], np.array(delays), link
+        )
+        expected = _lowered_joint(pending, capacities, delays, link)
+        assert [(f.absorbed.tolist(), f.augmentations) for f in fills] == expected
+        used = np.sum([f.absorbed for f in fills], axis=0)
+        assert (used <= link).all()
 
 
 # ---------------------------------------------------------------------- #
