@@ -48,7 +48,7 @@ def test_coordination_ablation(once):
     result = once(run_coordination_ablation, "small")
     parallel = result["parallel (paper)"]
     coordinated = result["coordinated"]
-    # the joint solve never oversubscribes links across types, so its QoS
-    # is at least comparable to the paper's per-type-parallel default
+    # shared links are never oversubscribed across types, so coordinated
+    # QoS is at least comparable to the paper's per-type-parallel default
     assert coordinated["qos_rate"] >= parallel["qos_rate"] - 0.05
     assert all(v["qos_rate"] > 0.5 for v in result.values())

@@ -46,27 +46,6 @@ from repro.workloads.trace import TraceRecord
 __all__ = ["TangoSystem"]
 
 
-class _BEAdapter:
-    """Expose a dual-role scheduler through the BE protocol only."""
-
-    def __init__(self, inner) -> None:
-        self._inner = inner
-
-    def dispatch_be(self, requests, snapshot, now_ms):
-        return self._inner.dispatch_be(requests, snapshot, now_ms)
-
-    # -- Checkpointable (delegate to the wrapped scheduler) ------------ #
-    def snapshot_state(self):
-        from repro.sim.checkpoint import component_state
-
-        return {"inner": component_state(self._inner)}
-
-    def restore_state(self, state) -> None:
-        from repro.sim.checkpoint import restore_component
-
-        restore_component(self._inner, state["inner"])
-
-
 class TangoSystem:
     """One experimental deployment: topology + policies + managers."""
 
@@ -150,9 +129,9 @@ class TangoSystem:
         if policy == "gnn-sac":
             return GNNSACScheduler(self.config.dcg_be)
         if policy == "load-greedy":
-            return _BEAdapter(LoadGreedyScheduler())
+            return LoadGreedyScheduler()
         if policy == "k8s-native":
-            return _BEAdapter(K8sNativeScheduler())
+            return K8sNativeScheduler()
         if policy == "dsaco":
             return self._shared_dsaco()
         raise ValueError(policy)

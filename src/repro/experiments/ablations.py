@@ -87,7 +87,8 @@ def run_preemption_ablation(scale_name: str = "small", seed: int = 1) -> Dict:
 
 
 def run_coordination_ablation(scale_name: str = "small", seed: int = 1) -> Dict:
-    """Per-type-parallel (the paper's Alg. 2) vs joint multi-commodity solve."""
+    """Per-type-parallel (the paper's Alg. 2) vs link capacities shared
+    across types; both run the same per-type solve."""
     from repro.scheduling.dss_lc import DSSLCConfig
 
     scale = SCALES[scale_name]

@@ -8,7 +8,7 @@ Bellman-Ford pass handles arbitrary costs, and all subsequent augmentations
 run Dijkstra on reduced costs.
 
 The solver operates on integer capacities and integer (scaled) costs.  No
-scheduler calls it: every DSS-LC graph, per-type or joint, is a star and is
+scheduler calls it: every DSS-LC graph, with link capacities shared or not, is a star and is
 solved in closed form by :mod:`repro.flow.graph`, which reproduces this
 solver's flow exactly.  It stays as the tie-rule oracle of that fill in the
 tests and as a section that ``perfbench`` traces.

@@ -52,6 +52,8 @@ class LoadGreedyScheduler:
         return {"dispatched": self.dispatched}
 
     def restore_state(self, state: Dict) -> None:
+        # BE-role checkpoints of older builds nest the state under "inner"
+        state = state.get("inner", state)
         self.dispatched = state["dispatched"]
 
     @staticmethod
@@ -117,6 +119,8 @@ class K8sNativeScheduler:
         return {"cursors": self._cursors}
 
     def restore_state(self, state: Dict) -> None:
+        # BE-role checkpoints of older builds nest the state under "inner"
+        state = state.get("inner", state)
         self._cursors = state["cursors"]
 
     def _dispatch(

@@ -27,12 +27,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.core.state_storage import NodeView, SystemSnapshot
-from repro.flow.graph import TransportResult, solve_transport
+from repro.flow.graph import solve_transport
 from repro.hrm.reassurance import ReassuranceMechanism
 from repro.obs.emitter import NULL_EMITTER
 from repro.sim.request import ServiceRequest
@@ -46,7 +46,6 @@ __all__ = [
     "DSSLCScheduler",
     "DispatchAuditRecord",
     "augmented_capacities",
-    "joint_fill",
     "slice_capacities",
 ]
 
@@ -59,17 +58,24 @@ _SLICE_INDEX = np.arange(len(SLICE_SURCHARGES_MS))
 
 
 def slice_capacities(
-    capacities: Sequence[int], pending: int, link_capacity: int
+    capacities: Sequence[int],
+    pending: int,
+    link_capacity: Union[int, np.ndarray],
 ) -> np.ndarray:
     """``(workers, 3)`` capacities of each worker's master→worker arcs.
 
     A worker's usable capacity — its Eq. 2 bound, capped by the link
     capacity c_{i,j} of Eq. 4 and by the pending count — is split into
     slices of ``ceil(usable / 3)``, the last taking the remainder.
+    ``link_capacity`` is one bound for every link, or one per worker
+    (the residuals of links shared across types).
     """
+    if isinstance(link_capacity, np.ndarray):
+        bound = np.minimum(link_capacity, pending)
+    else:
+        bound = min(link_capacity, pending)
     usable = np.minimum(
-        np.maximum(np.asarray(capacities, dtype=np.int64), 0),
-        min(link_capacity, pending),
+        np.maximum(np.asarray(capacities, dtype=np.int64), 0), bound
     )[:, None]
     size = (usable + 2) // 3
     return np.minimum(size, np.maximum(usable - size * _SLICE_INDEX, 0))
@@ -102,32 +108,6 @@ def augmented_capacities(
     for i in remainders[:shortfall]:
         floors[i] += 1
     return floors
-
-
-def joint_fill(
-    pending: Sequence[int],
-    capacities: Sequence[np.ndarray],
-    delays_ms: np.ndarray,
-    link_capacity: int,
-) -> List[TransportResult]:
-    """One min-cost fill per type over shared master→worker links.
-
-    Type ``k`` routes ``pending[k]`` requests to workers that can absorb
-    ``capacities[k]`` each.  Its graph is a star with one arc per worker,
-    capped by the link's residual capacity and by the worker's bound, so
-    :func:`solve_transport` solves it exactly.  What a type absorbs leaves
-    the link's residual for the types after it; every link starts at
-    ``link_capacity``.
-    """
-    residual = np.full(len(delays_ms), link_capacity, dtype=np.int64)
-    fills = []
-    for n, caps in zip(pending, capacities):
-        fill = solve_transport(
-            n, np.minimum(residual, caps)[:, None], delays_ms[:, None]
-        )
-        residual -= fill.absorbed
-        fills.append(fill)
-    return fills
 
 
 @dataclass
@@ -174,11 +154,11 @@ class DSSLCConfig:
     #: the ρ(·) case-2 priority policy: random (paper default), fifo,
     #: deadline, or tier (§5.2.2: "can be changed as required").
     priority: str = "random"
-    #: solve all request types jointly over shared link capacities (the
-    #: full multi-commodity formulation) instead of the paper's per-type
-    #: "in parallel" graphs.  Types fill the links in turn, one closed-form
-    #: star fill each over the residual link capacities, so no link is
-    #: oversubscribed across types.
+    #: share each master→worker link's c_{i,j} across request types (the
+    #: multi-commodity coupling of Eq. 4) instead of giving every per-type
+    #: graph the full bound.  Types run the same per-type solve, most
+    #: pending first, and every solve of the round (immediate and queued)
+    #: draws on one residual per link, so no link is oversubscribed.
     coordinate_types: bool = False
     seed: int = 0
 
@@ -246,20 +226,21 @@ class DSSLCScheduler:
         assignments: List[Assignment] = []
         view = snapshot.view(eligible_clusters)
         if view.nodes:
-            groups = group_by_type(requests)
-            if self.config.coordinate_types and len(groups) > 1:
+            groups = list(group_by_type(requests).values())
+            links = None
+            if self.config.coordinate_types:
+                # one residual c_{i,j} per master→worker link, shared by
+                # every solve of the round; the most pending type goes first
+                groups.sort(key=len, reverse=True)
+                links = np.full(
+                    len(view.nodes), self.config.link_capacity, dtype=np.int64
+                )
+            for reqs in groups:
                 assignments.extend(
-                    self._dispatch_coordinated(
-                        origin_cluster, groups, view, snapshot
+                    self._dispatch_type(
+                        origin_cluster, reqs, view, snapshot, links
                     )
                 )
-            else:
-                for service, reqs in groups.items():
-                    assignments.extend(
-                        self._dispatch_type(
-                            origin_cluster, reqs, view, snapshot
-                        )
-                    )
         decision_ms = (time.perf_counter() - start) * 1000.0
         self.decision_latencies_ms.append(decision_ms)
         self.emitter.dispatch_round(
@@ -283,6 +264,7 @@ class DSSLCScheduler:
         requests: List[ServiceRequest],
         view: NodeView,
         snapshot: SystemSnapshot,
+        links: Optional[np.ndarray] = None,
     ) -> List[Assignment]:
         spec = requests[0].spec
         r_cpu, r_mem, capacities = self._capacities(spec, view, snapshot)
@@ -291,7 +273,7 @@ class DSSLCScheduler:
 
         if pending <= total_capacity:
             placed, counts = self._solve_and_assign(
-                origin_cluster, requests, view, capacities, snapshot
+                origin_cluster, requests, view, capacities, snapshot, links
             )
             if self.audit_log is not None:
                 self._record_audit(
@@ -308,7 +290,7 @@ class DSSLCScheduler:
         immediate = ordered[:total_capacity]
         queued = ordered[total_capacity:]
         assignments, placed_now = self._solve_and_assign(
-            origin_cluster, immediate, view, capacities, snapshot
+            origin_cluster, immediate, view, capacities, snapshot, links
         )
 
         queued = queued[: self.config.max_queue_push]
@@ -319,7 +301,7 @@ class DSSLCScheduler:
                 len(queued),
             )
             queued_assignments, queued_counts = self._solve_and_assign(
-                origin_cluster, queued, view, aug_caps, snapshot
+                origin_cluster, queued, view, aug_caps, snapshot, links
             )
             assignments.extend(queued_assignments)
         if self.audit_log is not None:
@@ -356,67 +338,6 @@ class DSSLCScheduler:
                 n_queued=n_queued,
             )
         )
-
-    # ------------------------------------------------------------------ #
-    # coordinated (true multi-commodity) dispatch
-    # ------------------------------------------------------------------ #
-    def _dispatch_coordinated(
-        self,
-        origin_cluster: int,
-        groups: Dict[str, List[ServiceRequest]],
-        view: NodeView,
-        snapshot: SystemSnapshot,
-    ) -> List[Assignment]:
-        """Solve every type jointly over shared master→worker links.
-
-        Node absorption stays per-type (each type has its own resource
-        footprint); the transmission capacities c_{i,j} of Eq. 4 are shared.
-        Types take the links in turn (:func:`joint_fill`), most pending
-        requests first.
-        """
-        delay_row = snapshot.delay_ms[origin_cluster]
-        ordered = sorted(groups, key=lambda s: len(groups[s]), reverse=True)
-        fills = joint_fill(
-            [len(groups[s]) for s in ordered],
-            [self._capacities(groups[s][0].spec, view, snapshot)[2] for s in ordered],
-            np.asarray(delay_row)[view.cluster_id],
-            self.config.link_capacity,
-        )
-        self._solves += len(fills)
-        self._augmentations += sum(fill.augmentations for fill in fills)
-        absorbed = {s: fill.absorbed for s, fill in zip(ordered, fills)}
-
-        assignments: List[Assignment] = []
-        #: placements per node so far this round, across all types
-        placed_now = np.zeros(len(view.nodes), dtype=np.int64)
-        for service, reqs in groups.items():
-            placed = self._assign(reqs, view, absorbed[service], delay_row)
-            for assignment in placed:
-                self._flow_cost_round += assignment.cost_ms
-            assignments.extend(placed)
-            placed_now += absorbed[service]
-            # overflow the joint solve could not place follows the case-2
-            # queued path (Ĝ'_k over total resources, Eq. 7-8) — critically,
-            # this ships LC to busy nodes where HRM preemption frees BE-held
-            # resources; holding them at the master would starve them.
-            leftover = reqs[len(placed):][: self.config.max_queue_push]
-            if leftover:
-                self.case2_rounds += 1
-                r_cpu, r_mem = self._per_request_minima(
-                    leftover[0].spec, view, snapshot
-                )
-                # remaining totals: deduct this round's placements so far
-                # and each node's existing backlog, as the per-type path does.
-                aug_caps = augmented_capacities(
-                    self._remaining_units(view, r_cpu, r_mem, placed_now),
-                    len(leftover),
-                )
-                placed, counts = self._solve_and_assign(
-                    origin_cluster, leftover, view, aug_caps, snapshot
-                )
-                assignments.extend(placed)
-                placed_now += counts
-        return assignments
 
     def _per_request_minima(
         self, spec: ServiceSpec, view: NodeView, snapshot: SystemSnapshot
@@ -490,12 +411,16 @@ class DSSLCScheduler:
         view: NodeView,
         capacities: Sequence[int],
         snapshot: SystemSnapshot,
+        links: Optional[np.ndarray] = None,
     ) -> Tuple[List[Assignment], np.ndarray]:
         """Solve G_k for ``requests``; return assignments and per-node counts.
 
         The origin master supplies ``len(requests)``; each node is reached
         over the slices of :func:`slice_capacities`, each costing the
-        master→node delay plus the slice's surcharge.
+        master→node delay plus the slice's surcharge.  ``links``, when
+        given, holds the residual of each shared link: it bounds the arcs
+        in place of ``link_capacity`` and loses this solve's placements.
+        Requests no arc can carry stay at the master for the next round.
         """
         if not requests:
             return [], np.zeros(len(view.nodes), dtype=np.int64)
@@ -504,10 +429,14 @@ class DSSLCScheduler:
         result = solve_transport(
             len(requests),
             slice_capacities(
-                capacities, len(requests), self.config.link_capacity
+                capacities,
+                len(requests),
+                self.config.link_capacity if links is None else links,
             ),
             delays[:, None] + SLICE_SURCHARGES_MS,
         )
+        if links is not None:
+            links -= result.absorbed
         self._solves += 1
         self._augmentations += result.augmentations
         self._flow_cost_round += result.total_delay_ms

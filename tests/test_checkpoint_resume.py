@@ -13,6 +13,7 @@ allocator) round-trips through the checkpoint.
 from __future__ import annotations
 
 import copy
+import functools
 import os
 import subprocess
 import sys
@@ -249,6 +250,30 @@ class TestRetiredStateKeys:
         leg2_system, _ = build(TangoConfig.tango, 1)
         resumed = fingerprint(leg2_system.resume(trace, checkpoint))
         assert resumed == straight
+
+
+class TestNestedBEState:
+    @pytest.mark.parametrize("policy", ["k8s-native", "load-greedy"])
+    def test_inner_nested_be_state_resumes(self, policy):
+        """Older builds wrapped a dual-role baseline serving the BE role and
+        checkpointed its state under ``"inner"``; such a checkpoint resumes
+        to the straight-run fingerprint."""
+        factory = functools.partial(TangoConfig.k8s_native, be_policy=policy)
+        straight_system, trace = build(factory, 3)
+        straight = fingerprint(straight_system.run(trace))
+
+        leg1_system, _ = build(factory, 3)
+        leg1_system.run(trace, until_ms=CHECKPOINT_MS)
+        checkpoint = leg1_system.last_runner.checkpoint()
+        components = checkpoint.state["components"]
+        components["be_scheduler"] = {"inner": components["be_scheduler"]}
+
+        leg2_system, _ = build(factory, 3)
+        assert fingerprint(leg2_system.resume(trace, checkpoint)) == straight
+        assert (
+            leg2_system.be_scheduler.snapshot_state()
+            == straight_system.be_scheduler.snapshot_state()
+        )
 
 
 class TestSolverCounters:

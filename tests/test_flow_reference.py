@@ -1,6 +1,6 @@
 """Differential tests against the reference oracles in repro.flow.reference.
 
-Four production paths get an obviously-correct shadow here:
+Three production paths get an obviously-correct shadow here:
 
 * the flat-array SSP+Johnson solver (:class:`MinCostMaxFlow`) vs the
   textbook Bellman-Ford reference (:class:`ReferenceMCMF`) on randomized
@@ -8,10 +8,8 @@ Four production paths get an obviously-correct shadow here:
   feasible (capacities respected, flow conserved);
 * the closed-form star fill DSS-LC solves ``G_k`` with
   (:func:`solve_transport`) vs both solvers on the lowered network, on
-  DSS-LC stars where equal costs are common;
-* DSS-LC's joint multi-type fill (:func:`joint_fill`) vs one SSP solve
-  per type on the lowered network, with the shared link capacities
-  carried from type to type;
+  DSS-LC stars where equal costs are common, under one link capacity or
+  per-worker link residuals (types sharing links);
 * the vectorized Eq. 2 capacity expression in DSS-LC vs its scalar
   re-statement (:func:`eq2_capacities_scalar`) across dtypes and edge
   values.
@@ -30,11 +28,7 @@ from repro.flow.reference import (
     eq2_capacities_scalar,
     node_units_scalar,
 )
-from repro.scheduling.dss_lc import (
-    SLICE_SURCHARGES_MS,
-    joint_fill,
-    slice_capacities,
-)
+from repro.scheduling.dss_lc import SLICE_SURCHARGES_MS, slice_capacities
 
 
 # ---------------------------------------------------------------------- #
@@ -153,11 +147,13 @@ class TestReferenceSolver:
 # ---------------------------------------------------------------------- #
 @st.composite
 def dss_lc_stars(draw):
-    """(pending, capacities, delays, link_capacity) of a DSS-LC ``G_k``.
+    """(pending, capacities, delays, link) of a DSS-LC ``G_k``.
 
     Workers share a few cluster delays drawn 6/12/18 ms apart (the slice
     surcharges), so equal arc costs — within and across workers' slices —
-    are the common case, not the exception.
+    are the common case, not the exception.  ``link`` is one capacity for
+    every link, or a list of per-worker residuals (what earlier types of a
+    coordinated round left), which reach zero and often bind.
     """
     n = draw(st.integers(min_value=1, max_value=8))
     base = draw(st.sampled_from([0.0, 0.0025, 0.5, 1.0, 2.5]))
@@ -169,11 +165,18 @@ def dss_lc_stars(draw):
     delays = [base + draw(st.sampled_from(clusters)) for _ in range(n)]
     capacities = [draw(st.integers(min_value=0, max_value=12)) for _ in range(n)]
     pending = draw(st.integers(min_value=1, max_value=30))
-    link = draw(st.integers(min_value=1, max_value=40))
+    link = draw(
+        st.one_of(
+            st.integers(min_value=1, max_value=40),
+            st.lists(st.integers(min_value=0, max_value=12), min_size=n, max_size=n),
+        )
+    )
     return pending, capacities, delays, link
 
 
 def _star_arcs(pending, capacities, delays, link):
+    if isinstance(link, list):
+        link = np.array(link, dtype=np.int64)
     caps = slice_capacities(capacities, pending, link)
     return caps, np.array(delays)[:, None] + SLICE_SURCHARGES_MS
 
@@ -185,9 +188,10 @@ def _lowered_star(solver_cls, pending, capacities, delays, link):
     super-source n+1, super-sink n+2.  The source arc, then the
     worker→sink arcs (bounded by the worker's Eq. 2 capacity), then each
     worker's convex slices, cut with the scalar loop and priced with
-    scalar ``round``.
+    scalar ``round``.  ``link`` is an int or a per-worker list.
     """
     n = len(capacities)
+    links = link if isinstance(link, list) else [link] * n
     source, sink = n + 1, n + 2
     net = solver_cls(n + 3)
     net.add_edge(source, 0, pending, 0)
@@ -196,7 +200,7 @@ def _lowered_star(solver_cls, pending, capacities, delays, link):
             net.add_edge(1 + i, sink, c, 0)
     arcs = []
     for i, delay in enumerate(delays):
-        remaining = min(link, pending, capacities[i])
+        remaining = min(links[i], pending, capacities[i])
         slice_size = max(1, (remaining + 2) // 3)
         for surcharge in (0.0, 6.0, 18.0):
             take = min(slice_size, remaining)
@@ -229,6 +233,9 @@ def _marginal_tie(caps, arc_delays, pending):
 class TestClosedFormStar:
     @settings(max_examples=300, deadline=None)
     @given(dss_lc_stars())
+    @example((8, [8, 8], [1.0, 1.0], [2, 0]))  # residuals bind, one spent
+    @example((5, [5, 5, 5], [6.0, 6.0, 6.0], [0, 3, 5]))  # equal delays
+    @example((5, [3, 0], [0.0, 1.0], [0, 0]))  # every link spent
     def test_matches_ssp_solver(self, star):
         pending, capacities, delays, link = star
         caps, arc_delays = _star_arcs(pending, capacities, delays, link)
@@ -283,89 +290,11 @@ class TestClosedFormStar:
         ]
         # the link capacity c_ij bounds a worker's arcs in total
         assert slice_capacities([100], 50, 4).tolist() == [[2, 2, 0]]
-
-
-# ---------------------------------------------------------------------- #
-# DSS-LC's joint multi-type fill vs per-type SSP over shared links
-# ---------------------------------------------------------------------- #
-@st.composite
-def joint_instances(draw):
-    """(pending, capacities, delays, link_capacity) of one joint dispatch.
-
-    Types come in the order the scheduler fills them.  Delays are drawn
-    from a few values, two of which round to the same integer cost, so
-    equal-cost workers are common; capacities and the link capacity reach
-    zero, and small link capacities make shared links bind.
-    """
-    n = draw(st.integers(min_value=1, max_value=12))
-    types = draw(st.integers(min_value=1, max_value=4))
-    delays = draw(
-        st.lists(
-            st.sampled_from([0.0, 1.0, 1.0004, 6.0, 12.0]),
-            min_size=n, max_size=n,
-        )
-    )
-    capacities = draw(
-        st.lists(
-            st.lists(st.integers(min_value=0, max_value=8), min_size=n, max_size=n),
-            min_size=types, max_size=types,
-        )
-    )
-    pending = draw(
-        st.lists(st.integers(min_value=1, max_value=12), min_size=types, max_size=types)
-    )
-    link = draw(st.integers(min_value=0, max_value=6))
-    return pending, capacities, delays, link
-
-
-def _lowered_joint(pending, capacities, delays, link):
-    """Solve each type with :class:`MinCostMaxFlow`, carrying residual links.
-
-    Per type: super-source → master (``pending``) → shared link (the
-    residual, cost = delay) → worker → super-sink (the worker's capacity).
-    Nodes: master 0, workers 1..n, super-source n+1, super-sink n+2.  Arcs
-    go in as: the source arc, the worker→sink arcs, then the links with
-    capacity left, each group in worker order (SSP's equal-cost choice
-    follows arc order).  Returns ``(absorbed, augmentations)`` per type.
-    """
-    n = len(delays)
-    residual = [link] * n
-    out = []
-    for demand, caps in zip(pending, capacities):
-        net = MinCostMaxFlow(n + 3)
-        net.add_edge(n + 1, 0, demand, 0)
-        for i, cap in enumerate(caps):
-            if cap > 0:
-                net.add_edge(1 + i, n + 2, cap, 0)
-        links = [
-            (net.add_edge(0, 1 + i, residual[i], max(0, int(round(d * COST_SCALE)))), i)
-            for i, d in enumerate(delays)
-            if residual[i] > 0
+        # per-worker residuals of shared links bound each worker's arcs
+        residual = np.array([0, 4, 64])
+        assert slice_capacities([7, 100, 100], 50, residual).tolist() == [
+            [0, 0, 0], [2, 2, 0], [17, 17, 16]
         ]
-        result = net.solve(n + 1, n + 2)
-        absorbed = [0] * n
-        for edge, i in links:
-            absorbed[i] = result.edge_flows[edge]
-            residual[i] -= absorbed[i]
-        out.append((absorbed, net.augmentations))
-    return out
-
-
-class TestJointFill:
-    @settings(max_examples=300, deadline=None)
-    @given(joint_instances())
-    @example(([4, 4], [[8, 8], [8, 8]], [1.0, 1.0004], 2))  # links bind
-    @example(([3, 2], [[0, 5, 5], [5, 0, 5]], [6.0, 6.0, 6.0], 6))  # ties
-    @example(([5], [[3, 0]], [0.0, 1.0], 0))  # no link capacity
-    def test_matches_ssp_per_type(self, instance):
-        pending, capacities, delays, link = instance
-        fills = joint_fill(
-            pending, [np.array(c) for c in capacities], np.array(delays), link
-        )
-        expected = _lowered_joint(pending, capacities, delays, link)
-        assert [(f.absorbed.tolist(), f.augmentations) for f in fills] == expected
-        used = np.sum([f.absorbed for f in fills], axis=0)
-        assert (used <= link).all()
 
 
 # ---------------------------------------------------------------------- #

@@ -10,13 +10,14 @@ strict mode with zero violations.
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 import pytest
 
 from repro import TangoConfig, TangoSystem
 from repro.cluster.resources import ResourceVector
 from repro.cluster.topology import TopologyConfig
-from repro.scheduling.dss_lc import DispatchAuditRecord
+from repro.scheduling.dss_lc import DSSLCConfig, DispatchAuditRecord
 from repro.sim.failures import FailureConfig
 from repro.sim.invariants import (
     LAWS,
@@ -330,6 +331,47 @@ class TestStrictIntegration:
         if with_failures:
             # the run must actually have exercised the crash paths
             assert system.last_runner.injector.events
+
+    @pytest.mark.parametrize("with_failures", [False, True],
+                             ids=["steady", "failures"])
+    def test_coordinated_rounds_are_audited(self, with_failures):
+        """With types sharing links, every type of every multi-type round
+        writes its own audit record, and the run is strict-clean."""
+        failures = None
+        if with_failures:
+            failures = FailureConfig(
+                node_mtbf_ms=1_500.0, node_downtime_ms=800.0,
+                partition_mtbf_ms=4_000.0, seed=3,
+            )
+        system = small_system(
+            functools.partial(
+                TangoConfig.tango, dss_lc=DSSLCConfig(coordinate_types=True)
+            ),
+            clusters=3,
+            workers=3,
+            duration_ms=4_000.0,
+            check_invariants=True,
+            failures=failures,
+        )
+        sched = system.lc_scheduler
+        dispatch = sched.dispatch
+        rounds = []  # (types offered, audit records written) per round
+
+        def counted(origin, requests, snapshot, eligible, now_ms):
+            before = len(sched.audit_log)
+            out = dispatch(origin, requests, snapshot, eligible, now_ms)
+            if snapshot.view(eligible).nodes:
+                rounds.append(
+                    (len({r.spec.name for r in requests}),
+                     len(sched.audit_log) - before)
+                )
+            return out
+
+        sched.dispatch = counted
+        metrics = system.run(small_trace(clusters=3, duration_ms=4_000.0))
+        assert metrics.invariant_violations == 0
+        assert any(types > 1 for types, _ in rounds)
+        assert all(records == types for types, records in rounds)
 
     def test_law_names_are_stable(self):
         # EXPERIMENTS.md's triage recipe references these identifiers

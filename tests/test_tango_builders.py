@@ -1,4 +1,6 @@
-"""TangoSystem assembly tests: factories, adapters, scheduler injection."""
+"""TangoSystem assembly tests: factories, BE roles, scheduler injection."""
+
+import pytest
 
 from repro import TangoConfig, TangoSystem
 from repro.baselines.ceres import CeresManager
@@ -6,11 +8,17 @@ from repro.baselines.dsaco import DSACOScheduler
 from repro.baselines.static import StaticPartitionManager
 from repro.cluster.topology import TopologyConfig
 from repro.hrm.regulations import HRMManager
-from repro.scheduling.baselines import K8sNativeScheduler, ScoringScheduler
+from repro.obs.events import RequestScheduled
+from repro.scheduling.baselines import (
+    K8sNativeScheduler,
+    LoadGreedyScheduler,
+    ScoringScheduler,
+)
 from repro.scheduling.dcg_be import DCGBEScheduler
 from repro.scheduling.dss_lc import DSSLCScheduler
 from repro.scheduling.gnn_sac import GNNSACScheduler
 from repro.sim.runner import RunnerConfig
+from repro.workloads.trace import SyntheticTrace, TraceConfig
 
 
 def tiny_topology():
@@ -83,13 +91,27 @@ class TestInjection:
         )
         assert system.lc_scheduler is custom
 
-    def test_be_adapter_wraps_dual_role_baselines(self):
-        system = build(
-            TangoConfig.tango(topology=tiny_topology(), be_policy="load-greedy")
+    @pytest.mark.parametrize(
+        "policy, cls",
+        [("load-greedy", LoadGreedyScheduler), ("k8s-native", K8sNativeScheduler)],
+    )
+    def test_be_role_baselines_carry_their_own_label(self, policy, cls):
+        """A dual-role baseline serves the BE role as itself, so its BE
+        ``RequestScheduled`` events name its class."""
+        config = TangoConfig.tango(
+            topology=tiny_topology(),
+            be_policy=policy,
+            runner=RunnerConfig(duration_ms=1_000.0, observe=True),
         )
-        # the adapter exposes only the BE protocol
-        assert hasattr(system.be_scheduler, "dispatch_be")
-        assert not hasattr(system.be_scheduler, "decision_latencies_ms")
+        system = build(config)
+        assert type(system.be_scheduler) is cls
+        trace = SyntheticTrace(
+            TraceConfig(n_clusters=2, duration_ms=1_000.0, seed=0)
+        ).generate()
+        system.run(trace)
+        events = system.last_runner.hub.bus.events(RequestScheduled)
+        be_labels = {ev.scheduler for ev in events if not ev.request.is_lc}
+        assert be_labels == {cls.__name__}
 
 
 class TestReassuranceToggle:
@@ -102,8 +124,6 @@ class TestReassuranceToggle:
         system = TangoSystem(config)
         assert system.reassurance is None
         # HRM still functions with catalog-default minima
-        from repro.workloads.trace import SyntheticTrace, TraceConfig
-
         trace = SyntheticTrace(
             TraceConfig(n_clusters=2, duration_ms=2_000.0, seed=0)
         ).generate()
