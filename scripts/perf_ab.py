@@ -3,9 +3,12 @@
 Runs ``perfbench/run.py --workload W --seconds 10`` in the base checkout
 and in this one, ``--pairs`` times each, alternating which side runs
 first, and prints every run from its last stdout line (perfbench's JSON
-result).  Exits 1 if any simulation on either side failed a check, or if
-this checkout's median ``ticks_per_s`` is below the base's by more than
-the ``ticks_per_s`` bound in ``BENCHMARK.json``.
+result).  It then reports, for each simulated metric, whether its values
+are identical on both sides, naming any that moved; a change that keeps
+the simulation's behaviour moves none.  Exits 1 if any simulation on
+either side failed a check, or if this checkout's median ``ticks_per_s``
+is below the base's by more than the ``ticks_per_s`` bound in
+``BENCHMARK.json``.
 
 Usage::
 
@@ -24,6 +27,11 @@ import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SECONDS = "10"
+#: end-to-end metrics read from the simulated run, not the wall clock.
+SIMULATED = (
+    "qos_rate", "lc_latency_ms_p50", "lc_latency_ms_p99", "be_completed",
+    "failed_frac",
+)
 
 
 def tps_bound() -> float:
@@ -59,6 +67,7 @@ def main() -> int:
 
     sides = {"base": os.path.abspath(args.base), "change": ROOT}
     tps = {"base": [], "change": []}
+    simulated = {side: {m: set() for m in SIMULATED} for side in sides}
     failed = 0
     for pair in range(args.pairs):
         order = ("base", "change") if pair % 2 == 0 else ("change", "base")
@@ -66,6 +75,8 @@ def main() -> int:
             result = perfbench(sides[side], args.workload)
             value = result["metrics"]["ticks_per_s"]["value"]
             tps[side].append(value)
+            for metric, seen in simulated[side].items():
+                seen.add(result["metrics"][metric]["value"])
             failed += result["failed"]
             print(
                 f"pair {pair + 1} {side:6s} ticks_per_s {value:8.2f} "
@@ -80,6 +91,16 @@ def main() -> int:
         f"{args.workload}: median ticks_per_s base {base:.2f} change "
         f"{change:.2f} ({-100 * drop:+.1f}%, bound -{100 * bound:.0f}%)"
     )
+    for metric in SIMULATED:
+        base_values = simulated["base"][metric]
+        change_values = simulated["change"][metric]
+        if base_values == change_values:
+            print(f"  {metric}: identical")
+        else:
+            print(
+                f"  {metric}: MOVED base {sorted(base_values)} "
+                f"change {sorted(change_values)}"
+            )
     status = 0
     if failed:
         print(f"FAIL: {failed} simulation(s) failed a check", file=sys.stderr)

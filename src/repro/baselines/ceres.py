@@ -111,12 +111,7 @@ class CeresManager:
                 continue
             node.adjust_running_allocation(
                 rr,
-                ResourceVector(
-                    cpu=rr.allocation.cpu - take,
-                    memory=rr.allocation.memory,
-                    bandwidth=rr.allocation.bandwidth,
-                    disk=rr.allocation.disk,
-                ),
+                ResourceVector(rr.allocation.cpu - take, rr.allocation.memory),
             )
             freed += take
         return freed
@@ -166,8 +161,6 @@ class CeresManager:
                     ResourceVector(
                         cpu=rr.allocation.cpu + grow,
                         memory=rr.allocation.memory,
-                        bandwidth=rr.allocation.bandwidth,
-                        disk=rr.allocation.disk,
                     ),
                 )
                 step_cpu -= grow
@@ -191,8 +184,6 @@ class CeresManager:
                     ResourceVector(
                         cpu=rr.allocation.cpu - cut,
                         memory=rr.allocation.memory,
-                        bandwidth=rr.allocation.bandwidth,
-                        disk=rr.allocation.disk,
                     ),
                 )
                 step_cpu -= cut

@@ -65,12 +65,6 @@ class EdgeCloudCluster:
             total = total + w.capacity
         return total
 
-    def total_allocated(self) -> ResourceVector:
-        total = ResourceVector()
-        for w in self.workers:
-            total = total + w.allocated
-        return total
-
     def utilization(self) -> float:
         if not self.workers:
             return 0.0
@@ -111,10 +105,10 @@ def make_heterogeneous_workers(
     SKUs so clusters differ both in count and in per-node capacity.
     """
     skus = [
-        ResourceVector(cpu=4.0, memory=8 * 1024.0, bandwidth=1000.0, disk=64 * 1024.0),
-        ResourceVector(cpu=8.0, memory=16 * 1024.0, bandwidth=1000.0, disk=128 * 1024.0),
-        ResourceVector(cpu=2.0, memory=4 * 1024.0, bandwidth=500.0, disk=32 * 1024.0),
-        ResourceVector(cpu=16.0, memory=32 * 1024.0, bandwidth=2000.0, disk=256 * 1024.0),
+        ResourceVector(cpu=4.0, memory=8 * 1024.0),
+        ResourceVector(cpu=8.0, memory=16 * 1024.0),
+        ResourceVector(cpu=2.0, memory=4 * 1024.0),
+        ResourceVector(cpu=16.0, memory=32 * 1024.0),
     ]
     sku_weights = np.array([0.45, 0.25, 0.20, 0.10])
     if n_workers is None:

@@ -118,8 +118,6 @@ class WorkerNode:
         return ResourceVector(
             max(cap.cpu - used.cpu, 0.0),
             max(cap.memory - used.memory, 0.0),
-            max(cap.bandwidth - used.bandwidth, 0.0),
-            max(cap.disk - used.disk, 0.0),
         )
 
     def utilization(self) -> float:
@@ -204,14 +202,6 @@ class WorkerNode:
         cpu = sum(r.spec.reference_resources.cpu for r in self._be_queue)
         mem = sum(r.spec.reference_resources.memory for r in self._be_queue)
         return float(cpu), float(mem)
-
-    def pending_of_type(self, service_name: str) -> int:
-        return sum(
-            1
-            for q in (self._lc_queue, self._be_queue)
-            for r in q
-            if r.spec.name == service_name
-        )
 
     # ------------------------------------------------------------------ #
     # execution
@@ -354,6 +344,3 @@ class WorkerNode:
     # ------------------------------------------------------------------ #
     def running_be(self) -> List[RunningRequest]:
         return [rr for rr in self.running.values() if not rr.is_lc]
-
-    def running_lc(self) -> List[RunningRequest]:
-        return [rr for rr in self.running.values() if rr.is_lc]

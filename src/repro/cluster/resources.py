@@ -1,86 +1,76 @@
 """Resource model for edge-cloud nodes, pods, and requests.
 
-The paper distinguishes *compressible* resources (CPU, bandwidth), which can be
-throttled and shared back to LC services instantly, from *incompressible*
-resources (memory, disk), which can only be reclaimed by evicting the holder
-(§4.1).  All resource arithmetic in the simulator goes through
-:class:`ResourceVector`, a small immutable-by-convention wrapper over four
-floats, so that every component (cgroups, schedulers, HRM) agrees on units:
+The paper distinguishes *compressible* resources, which can be throttled and
+shared back to LC services instantly, from *incompressible* resources, which
+can only be reclaimed by evicting the holder (§4.1).  It names CPU and
+bandwidth as compressible and memory and disk as incompressible, but every
+formula the simulator implements (Eq. 2's node capacity, Eqs. 7–8, the
+DCG-BE state and reward, the HRM squeeze and eviction) reads CPU and memory
+only.  So all resource arithmetic goes through :class:`ResourceVector`, a
+frozen pair of floats that every component (cgroups, schedulers, HRM) agrees
+on:
 
-* ``cpu`` — CPU cores (fractional cores allowed, like K8s millicores / 1000).
-* ``memory`` — MiB.
-* ``bandwidth`` — Mbps of NIC capacity.
-* ``disk`` — MiB of scratch disk.
+* ``cpu`` — CPU cores (fractional cores allowed, like K8s millicores / 1000);
+  compressible.
+* ``memory`` — MiB; incompressible.
+
+Bandwidth is modelled on the links between clusters, where the paper's
+``tc`` shaping lives (``EdgeCloudSystem.bandwidth_mbps`` in
+:mod:`repro.cluster.topology`), and no request reserves disk.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
-from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Tuple
+from typing import Tuple
 
 __all__ = [
     "ResourceKind",
     "ResourceVector",
     "ZERO",
-    "COMPRESSIBLE_KINDS",
-    "INCOMPRESSIBLE_KINDS",
 ]
 
 
 class ResourceKind(str, Enum):
-    """The four resource dimensions tracked by the simulator."""
+    """The two resource dimensions tracked by the simulator."""
 
     CPU = "cpu"
     MEMORY = "memory"
-    BANDWIDTH = "bandwidth"
-    DISK = "disk"
 
     @property
     def compressible(self) -> bool:
         """Whether the resource can be throttled without killing the holder."""
-        return self in COMPRESSIBLE_KINDS
+        return self is ResourceKind.CPU
 
-
-COMPRESSIBLE_KINDS = frozenset({ResourceKind.CPU, ResourceKind.BANDWIDTH})
-INCOMPRESSIBLE_KINDS = frozenset({ResourceKind.MEMORY, ResourceKind.DISK})
 
 _EPS = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class ResourceVector:
-    """A point in (cpu, memory, bandwidth, disk) space.
+    """A point in (cpu, memory) space.
 
     Instances are frozen; all operators return new vectors.  Comparison
-    helpers follow K8s semantics: ``fits_in`` is a conjunction over all
-    dimensions, while ``dominant_share`` returns the max utilisation ratio
-    used by schedulers and by the short-term reward of DCG-BE (§5.3.1).
+    helpers follow K8s semantics: ``fits_in`` is a conjunction over both
+    dimensions, while ``dominant_share`` returns the max utilisation ratio.
     """
 
     cpu: float = 0.0
     memory: float = 0.0
-    bandwidth: float = 0.0
-    disk: float = 0.0
 
     # ------------------------------------------------------------------ #
     # constructors
     # ------------------------------------------------------------------ #
     @classmethod
-    def of(cls, **kwargs: float) -> "ResourceVector":
-        """Build a vector from keyword dimensions, defaulting others to 0."""
-        return cls(
-            cpu=float(kwargs.get("cpu", 0.0)),
-            memory=float(kwargs.get("memory", 0.0)),
-            bandwidth=float(kwargs.get("bandwidth", 0.0)),
-            disk=float(kwargs.get("disk", 0.0)),
-        )
+    def of(cls, *, cpu: float = 0.0, memory: float = 0.0) -> "ResourceVector":
+        """Build a vector from keyword dimensions, coerced to float.
 
-    @classmethod
-    def full_like(cls, value: float) -> "ResourceVector":
-        """A vector with every dimension set to ``value``."""
-        return cls(value, value, value, value)
+        A name the model does not track raises ``TypeError`` rather than
+        being dropped.
+        """
+        return cls(float(cpu), float(memory))
 
     # ------------------------------------------------------------------ #
     # access
@@ -88,41 +78,20 @@ class ResourceVector:
     def get(self, kind: ResourceKind) -> float:
         return getattr(self, kind.value)
 
-    def items(self) -> Iterator[Tuple[ResourceKind, float]]:
-        for kind in ResourceKind:
-            yield kind, self.get(kind)
-
     def replace(self, kind: ResourceKind, value: float) -> "ResourceVector":
-        parts = {k.value: v for k, v in self.items()}
-        parts[kind.value] = float(value)
-        return ResourceVector(**parts)
+        return dataclasses.replace(self, **{kind.value: float(value)})
 
     # ------------------------------------------------------------------ #
     # arithmetic
     # ------------------------------------------------------------------ #
     def __add__(self, other: "ResourceVector") -> "ResourceVector":
-        return ResourceVector(
-            self.cpu + other.cpu,
-            self.memory + other.memory,
-            self.bandwidth + other.bandwidth,
-            self.disk + other.disk,
-        )
+        return ResourceVector(self.cpu + other.cpu, self.memory + other.memory)
 
     def __sub__(self, other: "ResourceVector") -> "ResourceVector":
-        return ResourceVector(
-            self.cpu - other.cpu,
-            self.memory - other.memory,
-            self.bandwidth - other.bandwidth,
-            self.disk - other.disk,
-        )
+        return ResourceVector(self.cpu - other.cpu, self.memory - other.memory)
 
     def __mul__(self, scalar: float) -> "ResourceVector":
-        return ResourceVector(
-            self.cpu * scalar,
-            self.memory * scalar,
-            self.bandwidth * scalar,
-            self.disk * scalar,
-        )
+        return ResourceVector(self.cpu * scalar, self.memory * scalar)
 
     __rmul__ = __mul__
 
@@ -131,27 +100,16 @@ class ResourceVector:
 
     def clamp_min(self, floor: float = 0.0) -> "ResourceVector":
         """Clamp every dimension to at least ``floor`` (used after reclaim)."""
-        return ResourceVector(
-            max(self.cpu, floor),
-            max(self.memory, floor),
-            max(self.bandwidth, floor),
-            max(self.disk, floor),
-        )
+        return ResourceVector(max(self.cpu, floor), max(self.memory, floor))
 
     def min_with(self, other: "ResourceVector") -> "ResourceVector":
         return ResourceVector(
-            min(self.cpu, other.cpu),
-            min(self.memory, other.memory),
-            min(self.bandwidth, other.bandwidth),
-            min(self.disk, other.disk),
+            min(self.cpu, other.cpu), min(self.memory, other.memory)
         )
 
     def max_with(self, other: "ResourceVector") -> "ResourceVector":
         return ResourceVector(
-            max(self.cpu, other.cpu),
-            max(self.memory, other.memory),
-            max(self.bandwidth, other.bandwidth),
-            max(self.disk, other.disk),
+            max(self.cpu, other.cpu), max(self.memory, other.memory)
         )
 
     # ------------------------------------------------------------------ #
@@ -162,57 +120,34 @@ class ResourceVector:
         return (
             self.cpu <= capacity.cpu + _EPS
             and self.memory <= capacity.memory + _EPS
-            and self.bandwidth <= capacity.bandwidth + _EPS
-            and self.disk <= capacity.disk + _EPS
         )
 
     def is_nonnegative(self) -> bool:
-        return (
-            self.cpu >= -_EPS
-            and self.memory >= -_EPS
-            and self.bandwidth >= -_EPS
-            and self.disk >= -_EPS
-        )
+        return self.cpu >= -_EPS and self.memory >= -_EPS
 
     def is_zero(self) -> bool:
-        return all(abs(v) <= _EPS for _, v in self.items())
+        return abs(self.cpu) <= _EPS and abs(self.memory) <= _EPS
 
     def dominant_share(self, capacity: "ResourceVector") -> float:
-        """Max utilisation ratio across dimensions with non-zero capacity.
-
-        This is the quantity inside the exponent of DCG-BE's short-term
-        reward and the score used by the load-greedy baseline.
-        """
+        """Max utilisation ratio across dimensions with non-zero capacity."""
         best = 0.0
-        for kind, demand in self.items():
-            cap = capacity.get(kind)
+        for demand, cap in (
+            (self.cpu, capacity.cpu),
+            (self.memory, capacity.memory),
+        ):
             if cap > _EPS:
                 best = max(best, demand / cap)
             elif demand > _EPS:
                 return math.inf
         return best
 
-    def units_within(self, capacity: "ResourceVector") -> int:
-        """How many copies of this demand fit in ``capacity`` (Eq. 2 helper).
-
-        Only CPU and memory participate, matching the paper's node capacity
-        term ``min(r_ava^c / r^c, r_ava^m / r^m)``.
-        """
-        counts = []
-        for kind in (ResourceKind.CPU, ResourceKind.MEMORY):
-            demand = self.get(kind)
-            if demand > _EPS:
-                counts.append(int(capacity.get(kind) / demand + _EPS))
-        if not counts:
-            return 0
-        return max(0, min(counts))
-
-    def as_tuple(self) -> Tuple[float, float, float, float]:
-        return (self.cpu, self.memory, self.bandwidth, self.disk)
+    def as_tuple(self) -> Tuple[float, float]:
+        return (self.cpu, self.memory)
 
     def approx_equal(self, other: "ResourceVector", tol: float = 1e-6) -> bool:
-        return all(
-            abs(a - b) <= tol for a, b in zip(self.as_tuple(), other.as_tuple())
+        return (
+            abs(self.cpu - other.cpu) <= tol
+            and abs(self.memory - other.memory) <= tol
         )
 
 

@@ -27,10 +27,10 @@ RTT_PER_KM_MS = 0.055  # 500 km neighbours ≈ 31 ms; 1700 km ≈ 97 ms
 
 #: bandwidth model (the Linux `tc` shaping the paper applies): LAN links run
 #: at NIC speed; WAN throughput degrades with distance down to a floor.
-LAN_BANDWIDTH_MBPS = 1000.0
-WAN_BANDWIDTH_BASE_MBPS = 600.0
-WAN_BANDWIDTH_FLOOR_MBPS = 100.0
-WAN_BANDWIDTH_PER_KM = 0.18  # Mbps lost per km
+LAN_MBPS = 1000.0
+WAN_BASE_MBPS = 600.0
+WAN_FLOOR_MBPS = 100.0
+WAN_MBPS_LOST_PER_KM = 0.18
 
 
 @dataclass
@@ -93,11 +93,11 @@ class EdgeCloudSystem:
     def bandwidth_mbps(self, a: int, b: int) -> float:
         """Link throughput between two clusters (LAN speed when a == b)."""
         if a == b:
-            return LAN_BANDWIDTH_MBPS
+            return LAN_MBPS
         return max(
-            WAN_BANDWIDTH_FLOOR_MBPS,
-            WAN_BANDWIDTH_BASE_MBPS
-            - self.distance_km(a, b) * WAN_BANDWIDTH_PER_KM,
+            WAN_FLOOR_MBPS,
+            WAN_BASE_MBPS
+            - self.distance_km(a, b) * WAN_MBPS_LOST_PER_KM,
         )
 
     def transfer_ms(self, a: int, b: int, payload_kb: float) -> float:

@@ -83,8 +83,8 @@ class ReassuranceMechanism:
         #: node name -> slot (column index); append-only, so insertion
         #: order is slot order.
         self._slots: Dict[str, int] = {}
-        #: service name -> ``(4, capacity)`` adjusted minima, one row per
-        #: ResourceVector dimension; NaN marks a cell never adjusted.
+        #: service name -> ``(2, capacity)`` adjusted minima, rows cpu and
+        #: memory; NaN marks a cell never adjusted.
         self._columns: Dict[str, np.ndarray] = {}
         self._last_run_ms: float = -1e18
         self.adjustments = {LEVEL_POOR: 0, LEVEL_EXCELLENT: 0, LEVEL_STABLE: 0}
@@ -141,7 +141,7 @@ class ReassuranceMechanism:
             slot = self._slots[node] = len(self._slots)
             for name, column in self._columns.items():
                 if slot >= column.shape[1]:
-                    grown = np.full((4, 2 * column.shape[1]), np.nan)
+                    grown = np.full((2, 2 * column.shape[1]), np.nan)
                     grown[:, : column.shape[1]] = column
                     self._columns[name] = grown
         return slot
@@ -213,7 +213,7 @@ class ReassuranceMechanism:
         slot = self._slot(node)  # first: a new slot may grow the columns
         column = self._columns.get(service)
         if column is None:
-            column = np.full((4, max(8, len(self._slots))), np.nan)
+            column = np.full((2, max(8, len(self._slots))), np.nan)
             self._columns[service] = column
         column[:, slot] = value.as_tuple()
 

@@ -6,10 +6,10 @@ scheduling and processing:
 * LC requests may use idle resources *and* resources currently held by BE
   services, preferring the former;
 * when idle resources cannot satisfy a pending LC request's minimum
-  requirement, preemption is allowed — **compressible** resources (CPU,
-  bandwidth) are squeezed out of running BE containers instantly, while
-  **incompressible** resources (memory, disk) are reclaimed by *evicting*
-  running BE services, which restart later;
+  requirement, preemption is allowed — **compressible** CPU is squeezed
+  out of running BE containers instantly, while **incompressible** memory
+  is reclaimed by *evicting* running BE services, which restart later (the
+  paper also names bandwidth and disk; see ``repro.cluster.resources``);
 * BE services, in turn, "aim to maximize idle resources": the manager grows
   their allocations toward (and slightly past) their reference whenever the
   node has slack, and shrinks them again under LC pressure.
@@ -186,8 +186,6 @@ class HRMManager:
             new_alloc = ResourceVector(
                 cpu=rr.allocation.cpu + grow_cpu,
                 memory=rr.allocation.memory + grow_mem,
-                bandwidth=rr.allocation.bandwidth,
-                disk=rr.allocation.disk,
             )
             # grow the pod limit with the container: expansion without a
             # D-VPA resize left usage above the pod limit (§4.2 cgroup
@@ -242,12 +240,7 @@ class HRMManager:
                 continue
             node.adjust_running_allocation(
                 rr,
-                ResourceVector(
-                    cpu=rr.allocation.cpu - take,
-                    memory=rr.allocation.memory,
-                    bandwidth=rr.allocation.bandwidth,
-                    disk=rr.allocation.disk,
-                ),
+                ResourceVector(rr.allocation.cpu - take, rr.allocation.memory),
             )
             # shrink the pod limit in step (compressible squeeze is free —
             # the release latency is not charged to anyone).

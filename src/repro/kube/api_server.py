@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 __all__ = ["ApiServer", "WatchEvent", "EventType", "ConflictError", "NotFoundError"]
 
@@ -127,15 +127,6 @@ class ApiServer:
             )
             if k == kind and (namespace is None or ns == namespace)
         ]
-
-    def list_items(
-        self, kind: str, namespace: Optional[str] = None
-    ) -> Iterator[Tuple[str, str, Any]]:
-        for (k, ns, name), obj in sorted(
-            self._store.items(), key=lambda item: item[0]
-        ):
-            if k == kind and (namespace is None or ns == namespace):
-                yield ns, name, obj
 
     def resource_version(
         self, kind: str, name: str, namespace: str = "default"

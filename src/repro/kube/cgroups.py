@@ -68,14 +68,6 @@ class CGroup:
             return float("inf")
         return limit / (1024.0 * 1024.0)
 
-    def limit_vector(self) -> ResourceVector:
-        cpu = self.cpu_limit_cores()
-        mem = self.memory_limit_mib()
-        return ResourceVector(
-            cpu=cpu if cpu != float("inf") else 1e12,
-            memory=mem if mem != float("inf") else 1e12,
-        )
-
 
 @dataclass
 class WriteRecord:

@@ -135,9 +135,6 @@ class Kubelet:
     def free_allocatable(self) -> ResourceVector:
         return (self.capacity - self.allocated()).clamp_min(0.0)
 
-    def running_pods(self) -> List[Pod]:
-        return list(self._running.values())
-
     def pod_count(self) -> int:
         return len(self._pending) + len(self._running)
 

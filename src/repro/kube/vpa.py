@@ -86,7 +86,7 @@ class NativeVPA:
     def needs_resize(self, pod: Pod, rec: VPARecommendation) -> bool:
         """Resize only when current requests leave the recommendation band."""
         current = pod.spec.total_requests()
-        for kind in (ResourceKind.CPU, ResourceKind.MEMORY):
+        for kind in ResourceKind:
             cur = current.get(kind)
             if cur < rec.lower_bound.get(kind) or cur > rec.upper_bound.get(kind):
                 return True
@@ -140,7 +140,7 @@ class NativeVPA:
         """Distribute the pod-level target over containers pro-rata."""
         pod_current = spec.total_requests()
         result = current
-        for kind in (ResourceKind.CPU, ResourceKind.MEMORY):
+        for kind in ResourceKind:
             total = pod_current.get(kind)
             share = current.get(kind) / total if total > 0 else 1.0 / max(
                 1, len(spec.containers)

@@ -1,4 +1,4 @@
-"""Metrics: sliding windows, period collectors, run summaries."""
+"""Metrics: period collectors, run summaries."""
 
 from .collectors import PERIOD_MS, PeriodCollector, RunMetrics
 from .report import (
@@ -9,14 +9,11 @@ from .report import (
     save_metrics,
 )
 from .plotting import histogram, sparkline, timeline_chart
-from .window import TimeWindow, percentile
 
 __all__ = [
     "PERIOD_MS",
     "PeriodCollector",
     "RunMetrics",
-    "TimeWindow",
-    "percentile",
     "save_metrics",
     "load_metrics",
     "metrics_to_dict",

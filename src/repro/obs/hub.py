@@ -25,10 +25,6 @@ from repro.obs.bus import EventBus
 from repro.obs.events import PeriodSampled, StageProfile
 from repro.obs.metrics import MetricRegistry
 from repro.obs.tracing import RequestTracer
-from repro.workloads.spec import ServiceKind
-
-_LC = ServiceKind.LC
-_BE = ServiceKind.BE
 
 __all__ = ["ObservabilityHub"]
 
@@ -76,31 +72,22 @@ class ObservabilityHub:
     ) -> None:
         """Refresh per-period gauges and publish a :class:`PeriodSampled`.
 
-        Called right after ``collector.maybe_sample`` closes a period, so
-        the gauges line up 1:1 with the collector's period samples.
+        Called right after ``collector.maybe_sample`` closes a period; the
+        utilization gauges read the sample it just took, so they equal the
+        run's per-period series.
         """
         self.periods += 1
-        util = system.system_utilization()
-        lc_parts = []
-        be_parts = []
+        m = collector.metrics
+        util = m.utilization[-1]
+        lc_util = m.lc_utilization[-1]
+        be_util = m.be_utilization[-1]
         if self.registry is not None:
             depth_g = self.registry.gauge(
                 "node_queue_depth", "queued + running requests per worker"
             )
             for node in system.all_workers():
-                shares = node.utilization_by_kind()
-                lc_parts.append(shares[_LC])
-                be_parts.append(shares[_BE])
                 lc_q, be_q = node.queue_lengths()
                 depth_g.set(lc_q + be_q + len(node.running), node=node.name)
-        else:
-            for node in system.all_workers():
-                shares = node.utilization_by_kind()
-                lc_parts.append(shares[_LC])
-                be_parts.append(shares[_BE])
-        lc_util = sum(lc_parts) / len(lc_parts) if lc_parts else 0.0
-        be_util = sum(be_parts) / len(be_parts) if be_parts else 0.0
-        if self.registry is not None:
             util_g = self.registry.gauge(
                 "utilization", "mean worker utilization, by kind"
             )

@@ -35,8 +35,6 @@ __all__ = [
     "RunnerCheckpoint",
     "component_state",
     "restore_component",
-    "rng_state",
-    "restore_rng",
     "save_checkpoint",
     "load_checkpoint",
 ]
@@ -88,15 +86,6 @@ def restore_component(obj: Any, state: Dict[str, Any]) -> None:
         return
     for key, value in state["__dict__"].items():
         setattr(obj, key, value)
-
-
-def rng_state(rng) -> Dict[str, Any]:
-    """Portable state of a ``numpy.random.Generator``."""
-    return rng.bit_generator.state
-
-
-def restore_rng(rng, state: Dict[str, Any]) -> None:
-    rng.bit_generator.state = state
 
 
 @dataclass

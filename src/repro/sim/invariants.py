@@ -15,8 +15,8 @@ Every tick (opt-in via ``RunnerConfig.check_invariants``) the
     carry no stale placement fields.
 ``node-resources``
     Per worker: no negative allocations, allocations within capacity, and
-    the per-request allocations sum to the node's bookkept total in all
-    four dimensions (cpu, memory, bandwidth, disk).
+    the per-request allocations sum to the node's bookkept total in cpu
+    and memory.
 ``dvpa-limits``
     Per (node, service): the resources the service's containers actually
     hold never exceed the D-VPA pod limit (§4.2 cgroup flows).  Inequality,
@@ -278,20 +278,16 @@ class RuntimeInvariantChecker:
     ) -> None:
         now = ctx.now_ms
         for worker in ctx.worker_list:
-            cpu = mem = bw = disk = 0.0
+            cpu = mem = 0.0
             for rr in worker.running.values():
                 a = rr.allocation
                 cpu += a.cpu
                 mem += a.memory
-                bw += a.bandwidth
-                disk += a.disk
             book = worker.allocated
             capacity = worker.capacity
             for dim, booked, cap, total in (
                 ("cpu", book.cpu, capacity.cpu, cpu),
                 ("memory", book.memory, capacity.memory, mem),
-                ("bandwidth", book.bandwidth, capacity.bandwidth, bw),
-                ("disk", book.disk, capacity.disk, disk),
             ):
                 if booked < -_RES_TOL:
                     out.append(

@@ -129,9 +129,6 @@ class TableLatencyModel(LatencyModel):
             np.asarray(fracs), np.asarray(utils), grid
         )
 
-    def has_table(self, service: str) -> bool:
-        return service in self._tables
-
     def speed(
         self,
         spec: ServiceSpec,

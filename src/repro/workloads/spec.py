@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from repro.cluster.resources import ResourceVector
 
@@ -125,7 +125,3 @@ def default_catalog() -> List[ServiceSpec]:
             )
         )
     return catalog
-
-
-def catalog_by_name(catalog: List[ServiceSpec]) -> Dict[str, ServiceSpec]:
-    return {spec.name: spec for spec in catalog}

@@ -36,8 +36,7 @@ def small_node():
     return WorkerNode(
         name="w0",
         cluster_id=0,
-        capacity=ResourceVector(cpu=4.0, memory=8 * 1024.0, bandwidth=1000.0,
-                                disk=64 * 1024.0),
+        capacity=ResourceVector(cpu=4.0, memory=8 * 1024.0),
     )
 
 

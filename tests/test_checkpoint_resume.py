@@ -13,8 +13,11 @@ allocator) round-trips through the checkpoint.
 from __future__ import annotations
 
 import copy
+import copyreg
 import functools
+import io
 import os
+import pickle
 import subprocess
 import sys
 
@@ -85,6 +88,35 @@ def build(factory, seed, *, observe=False, failures=None, clusters=3, workers=3)
         )
     ).generate()
     return TangoSystem(config), trace
+
+
+def four_field_state(vector: ResourceVector) -> dict:
+    """A vector's pickled state as builds tracking four dimensions wrote it."""
+    return {
+        "cpu": vector.cpu,
+        "memory": vector.memory,
+        "bandwidth": 1000.0,
+        "disk": 64 * 1024.0,
+    }
+
+
+def four_field_vector(cpu: float, memory: float) -> ResourceVector:
+    vector = object.__new__(ResourceVector)
+    vector.__dict__.update(four_field_state(ResourceVector(cpu, memory)))
+    return vector
+
+
+class FourFieldPickler(pickle.Pickler):
+    """Pickles every ResourceVector with ``bandwidth`` and ``disk`` in its
+    state, as builds that tracked four dimensions did."""
+
+    vectors = 0
+
+    def reducer_override(self, obj):
+        if type(obj) is ResourceVector:
+            self.vectors += 1
+            return copyreg.__newobj__, (ResourceVector,), four_field_state(obj)
+        return NotImplemented
 
 
 def straight_vs_resumed(factory, seed, at_ms=CHECKPOINT_MS, **kwargs):
@@ -251,6 +283,25 @@ class TestRetiredStateKeys:
         resumed = fingerprint(leg2_system.resume(trace, checkpoint))
         assert resumed == straight
 
+    def test_four_field_vectors_are_ignored(self):
+        """A checkpoint whose every ResourceVector carries ``bandwidth`` and
+        ``disk`` in its pickled state, as builds tracking four dimensions
+        wrote them, resumes to the straight-run fingerprint."""
+        straight_system, trace = build(TangoConfig.tango, 1)
+        straight = fingerprint(straight_system.run(trace))
+
+        leg1_system, _ = build(TangoConfig.tango, 1)
+        leg1_system.run(trace, until_ms=OFF_REFRESH_MS)
+        buf = io.BytesIO()
+        pickler = FourFieldPickler(buf, protocol=pickle.HIGHEST_PROTOCOL)
+        pickler.dump(leg1_system.last_runner.checkpoint())
+        assert pickler.vectors > 0
+        checkpoint = pickle.loads(buf.getvalue())
+
+        leg2_system, _ = build(TangoConfig.tango, 1)
+        resumed = fingerprint(leg2_system.resume(trace, checkpoint))
+        assert resumed == straight
+
 
 class TestNestedBEState:
     @pytest.mark.parametrize("policy", ["k8s-native", "load-greedy"])
@@ -340,12 +391,13 @@ class TestForkSemantics:
 class TestReassuranceState:
     def test_pre_column_state_restores(self):
         """A re-assurance state as older builds wrote it, still carrying
-        the retired ``version`` counter, restores to the same minima."""
+        the retired ``version`` counter and four-field vectors, restores to
+        the same minima."""
         lc = [s for s in default_catalog() if s.kind is ServiceKind.LC]
         adjusted = {
-            ("w0", lc[0].name): ResourceVector(0.77, 788.48, 0.0, 0.0),
-            ("w3", lc[0].name): ResourceVector(0.672, 688.128, 0.0, 0.0),
-            ("w3", lc[1].name): ResourceVector(0.5775, 591.36, 0.0, 0.0),
+            ("w0", lc[0].name): four_field_vector(0.77, 788.48),
+            ("w3", lc[0].name): four_field_vector(0.672, 688.128),
+            ("w3", lc[1].name): four_field_vector(0.5775, 591.36),
         }
         state = {
             "min_resources": adjusted,

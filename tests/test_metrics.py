@@ -1,40 +1,15 @@
-"""Metrics pipeline tests: windows, collectors, and run summaries."""
+"""Metrics pipeline tests: collectors and run summaries."""
 
 import pytest
 
 from repro.cluster.topology import EdgeCloudSystem, TopologyConfig
 from repro.metrics.collectors import PERIOD_MS, PeriodCollector
-from repro.metrics.window import TimeWindow, percentile
 from repro.sim.request import ServiceRequest
 from repro.workloads.spec import ServiceKind, default_catalog
 
 CATALOG = default_catalog()
 LC = next(s for s in CATALOG if s.kind is ServiceKind.LC)
 BE = next(s for s in CATALOG if s.kind is ServiceKind.BE)
-
-
-class TestWindow:
-    def test_percentile_empty_is_none(self):
-        assert percentile([], 95) is None
-
-    def test_expiry(self):
-        w = TimeWindow(horizon_ms=100.0)
-        w.add(0.0, 1.0)
-        w.add(50.0, 2.0)
-        w.add(200.0, 3.0)
-        assert w.values() == [2.0, 3.0] or w.values() == [3.0]
-
-    def test_stats(self):
-        w = TimeWindow(horizon_ms=1000.0)
-        for i in range(10):
-            w.add(float(i), float(i))
-        assert w.mean() == pytest.approx(4.5)
-        assert w.count() == 10
-        assert w.sum() == pytest.approx(45.0)
-
-    def test_rejects_bad_horizon(self):
-        with pytest.raises(ValueError):
-            TimeWindow(0.0)
 
 
 def lc_request(arrival=0.0):

@@ -178,11 +178,23 @@ class TestMetricsRegistry:
         assert hub.bus.count(PeriodSampled) == hub.periods
         util = hub.registry.get("utilization")
         assert util is not None
-        # the last sampled system utilization matches the collector's
-        assert util.value(kind="system") == pytest.approx(
-            metrics.utilization[-1]
-        )
+        # the gauges hold the collector's last sample, exactly
+        assert util.value(kind="system") == metrics.utilization[-1]
+        assert util.value(kind="lc") == metrics.lc_utilization[-1]
+        assert util.value(kind="be") == metrics.be_utilization[-1]
         assert hub.registry.get("node_queue_depth") is not None
+
+    def test_period_events_equal_run_metrics(self):
+        """Every PeriodSampled carries exactly the collector's sample of
+        its period, so the event stream and RunMetrics agree to the bit."""
+        system, metrics = observed_run(
+            clusters=4, workers=5, obs_ring_capacity=1 << 20
+        )
+        events = system.last_runner.hub.bus.events(PeriodSampled)
+        assert len(events) == len(metrics.utilization)
+        assert [e.utilization for e in events] == metrics.utilization
+        assert [e.lc_utilization for e in events] == metrics.lc_utilization
+        assert [e.be_utilization for e in events] == metrics.be_utilization
 
     def test_prometheus_export_parses(self, tango_run):
         system, _ = tango_run

@@ -1,63 +1,86 @@
 """Unit and property tests for the ResourceVector model."""
 
+import dataclasses
 import math
+import pickle
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.cluster.resources import (
-    COMPRESSIBLE_KINDS,
-    INCOMPRESSIBLE_KINDS,
-    ResourceKind,
-    ResourceVector,
-    ZERO,
-)
+from repro.cluster.resources import ResourceKind, ResourceVector, ZERO
 
 dims = st.floats(min_value=0.0, max_value=1e6, allow_nan=False, allow_infinity=False)
 
 
 def vectors():
-    return st.builds(ResourceVector, dims, dims, dims, dims)
+    return st.builds(ResourceVector, dims, dims)
 
 
 class TestKinds:
-    def test_cpu_and_bandwidth_are_compressible(self):
+    def test_cpu_is_compressible(self):
         assert ResourceKind.CPU.compressible
-        assert ResourceKind.BANDWIDTH.compressible
 
-    def test_memory_and_disk_are_incompressible(self):
+    def test_memory_is_incompressible(self):
         assert not ResourceKind.MEMORY.compressible
-        assert not ResourceKind.DISK.compressible
 
     def test_kind_partition_is_complete(self):
-        assert COMPRESSIBLE_KINDS | INCOMPRESSIBLE_KINDS == frozenset(ResourceKind)
-        assert not COMPRESSIBLE_KINDS & INCOMPRESSIBLE_KINDS
+        assert {k for k in ResourceKind if k.compressible} == {ResourceKind.CPU}
+        assert {k for k in ResourceKind if not k.compressible} == {
+            ResourceKind.MEMORY
+        }
+
+
+class TestConstruction:
+    def test_fields_are_cpu_and_memory(self):
+        names = [f.name for f in dataclasses.fields(ResourceVector)]
+        assert names == ["cpu", "memory"]
+
+    def test_of_coerces_to_float(self):
+        v = ResourceVector.of(cpu=1, memory=2)
+        assert v.as_tuple() == (1.0, 2.0)
+        assert isinstance(v.cpu, float) and isinstance(v.memory, float)
+        assert ResourceVector.of(memory=3) == ResourceVector(0.0, 3.0)
+
+    @pytest.mark.parametrize("name", ["gpu", "bandwidth", "disk"])
+    def test_of_rejects_unmodelled_dimension(self, name):
+        with pytest.raises(TypeError):
+            ResourceVector.of(cpu=1.0, **{name: 1.0})
+
+    def test_four_field_state_loads(self):
+        """A vector pickled with ``bandwidth`` and ``disk`` in its state, as
+        builds that tracked four dimensions wrote every vector, loads as the
+        same (cpu, memory) pair."""
+        old = object.__new__(ResourceVector)
+        old.__dict__.update(cpu=1.0, memory=2.0, bandwidth=3.0, disk=4.0)
+        loaded = pickle.loads(pickle.dumps(old))
+        assert loaded == ResourceVector(1.0, 2.0)
+        assert (loaded + loaded).as_tuple() == (2.0, 4.0)
 
 
 class TestArithmetic:
     def test_add_sub_roundtrip(self):
-        a = ResourceVector(1, 2, 3, 4)
-        b = ResourceVector(0.5, 1.0, 1.5, 2.0)
+        a = ResourceVector(1, 2)
+        b = ResourceVector(0.5, 1.0)
         assert (a + b - b).approx_equal(a)
 
     def test_scalar_multiply(self):
-        a = ResourceVector(1, 2, 3, 4)
-        assert (a * 2).as_tuple() == (2, 4, 6, 8)
-        assert (2 * a).as_tuple() == (2, 4, 6, 8)
+        a = ResourceVector(1, 2)
+        assert (a * 2).as_tuple() == (2, 4)
+        assert (2 * a).as_tuple() == (2, 4)
 
     def test_negation(self):
-        a = ResourceVector(1, 2, 3, 4)
-        assert (-a).as_tuple() == (-1, -2, -3, -4)
+        a = ResourceVector(1, 2)
+        assert (-a).as_tuple() == (-1, -2)
 
     def test_clamp_min(self):
-        a = ResourceVector(-1, 2, -3, 4)
-        assert a.clamp_min(0.0).as_tuple() == (0, 2, 0, 4)
+        assert ResourceVector(-1, 2).clamp_min(0.0).as_tuple() == (0, 2)
+        assert ResourceVector(1, -2).clamp_min(0.0).as_tuple() == (1, 0)
 
     def test_replace_single_dimension(self):
-        a = ResourceVector(1, 2, 3, 4)
-        b = a.replace(ResourceKind.MEMORY, 99.0)
-        assert b.memory == 99.0
-        assert b.cpu == 1.0 and b.bandwidth == 3.0 and b.disk == 4.0
+        a = ResourceVector(1, 2)
+        assert a.replace(ResourceKind.MEMORY, 99.0) == ResourceVector(1, 99.0)
+        assert a.replace(ResourceKind.CPU, 7.0) == ResourceVector(7.0, 2)
+        assert a.get(ResourceKind.CPU) == 1 and a.get(ResourceKind.MEMORY) == 2
 
     @given(vectors(), vectors())
     def test_add_commutes(self, a, b):
@@ -70,15 +93,24 @@ class TestArithmetic:
 
 class TestPredicates:
     def test_fits_in_exact_boundary(self):
-        a = ResourceVector(4, 8, 0, 0)
-        assert a.fits_in(ResourceVector(4, 8, 0, 0))
+        a = ResourceVector(4, 8)
+        assert a.fits_in(ResourceVector(4, 8))
 
     def test_fits_in_fails_on_any_dimension(self):
-        cap = ResourceVector(4, 8, 10, 10)
-        assert not ResourceVector(5, 1, 1, 1).fits_in(cap)
-        assert not ResourceVector(1, 9, 1, 1).fits_in(cap)
-        assert not ResourceVector(1, 1, 11, 1).fits_in(cap)
-        assert not ResourceVector(1, 1, 1, 11).fits_in(cap)
+        cap = ResourceVector(4, 8)
+        assert not ResourceVector(5, 1).fits_in(cap)
+        assert not ResourceVector(1, 9).fits_in(cap)
+
+    def test_is_nonnegative_fails_on_any_dimension(self):
+        assert ResourceVector(0, 0).is_nonnegative()
+        assert not ResourceVector(-1, 1).is_nonnegative()
+        assert not ResourceVector(1, -1).is_nonnegative()
+
+    def test_approx_equal_fails_on_any_dimension(self):
+        a = ResourceVector(1, 2)
+        assert a.approx_equal(ResourceVector(1 + 1e-9, 2 - 1e-9))
+        assert not a.approx_equal(ResourceVector(1.1, 2))
+        assert not a.approx_equal(ResourceVector(1, 2.1))
 
     @given(vectors(), vectors())
     def test_min_with_fits_in_both(self, a, b):
@@ -93,6 +125,7 @@ class TestPredicates:
     def test_is_zero(self):
         assert ZERO.is_zero()
         assert not ResourceVector(cpu=0.1).is_zero()
+        assert not ResourceVector(memory=0.1).is_zero()
 
 
 class TestSummaries:
@@ -100,22 +133,11 @@ class TestSummaries:
         demand = ResourceVector(cpu=2, memory=1024)
         cap = ResourceVector(cpu=4, memory=8192)
         assert demand.dominant_share(cap) == pytest.approx(0.5)
+        assert ResourceVector(cpu=1, memory=6144).dominant_share(
+            cap
+        ) == pytest.approx(0.75)
 
     def test_dominant_share_infinite_when_capacity_missing(self):
         demand = ResourceVector(cpu=1)
         cap = ResourceVector(memory=100)
         assert math.isinf(demand.dominant_share(cap))
-
-    def test_units_within_eq2(self):
-        # Eq. 2: min(cpu_ava / r_c, mem_ava / r_m)
-        demand = ResourceVector(cpu=1.0, memory=1024.0)
-        cap = ResourceVector(cpu=4.0, memory=3 * 1024.0)
-        assert demand.units_within(cap) == 3
-
-    def test_units_within_zero_demand(self):
-        assert ZERO.units_within(ResourceVector(cpu=4, memory=8)) == 0
-
-    @given(vectors())
-    def test_units_within_self_at_least_one(self, a):
-        if a.cpu > 1e-6 and a.memory > 1e-6:
-            assert a.units_within(a) >= 1
