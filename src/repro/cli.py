@@ -347,7 +347,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     system.run(_build_trace(args))
     runner = system.last_runner
     hub = runner.hub
-    assert hub is not None and hub.tracer is not None
+    assert hub is not None
     kwargs = dict(
         status=args.status, service=args.service, limit=args.limit
     )

@@ -22,7 +22,6 @@ Bandwidth is modelled on the links between clusters, where the paper's
 from __future__ import annotations
 
 import dataclasses
-import math
 from enum import Enum
 from typing import Tuple
 
@@ -54,7 +53,7 @@ class ResourceVector:
 
     Instances are frozen; all operators return new vectors.  Comparison
     helpers follow K8s semantics: ``fits_in`` is a conjunction over both
-    dimensions, while ``dominant_share`` returns the max utilisation ratio.
+    dimensions.
     """
 
     cpu: float = 0.0
@@ -127,19 +126,6 @@ class ResourceVector:
 
     def is_zero(self) -> bool:
         return abs(self.cpu) <= _EPS and abs(self.memory) <= _EPS
-
-    def dominant_share(self, capacity: "ResourceVector") -> float:
-        """Max utilisation ratio across dimensions with non-zero capacity."""
-        best = 0.0
-        for demand, cap in (
-            (self.cpu, capacity.cpu),
-            (self.memory, capacity.memory),
-        ):
-            if cap > _EPS:
-                best = max(best, demand / cap)
-            elif demand > _EPS:
-                return math.inf
-        return best
 
     def as_tuple(self) -> Tuple[float, float]:
         return (self.cpu, self.memory)

@@ -2,7 +2,6 @@
 
 from .controller import Deployment, DeploymentController, ReconcileResult
 from .endpoints import EndpointsResolver
-from .events import ClusterEvent, EventRecorder, Reason
 from .api_server import ApiServer, ConflictError, EventType, NotFoundError, WatchEvent
 from .cgroups import CGroup, CGroupError, CGroupTree
 from .hpa import HorizontalPodAutoscaler
@@ -48,7 +47,4 @@ __all__ = [
     "DeploymentController",
     "ReconcileResult",
     "EndpointsResolver",
-    "EventRecorder",
-    "ClusterEvent",
-    "Reason",
 ]

@@ -4,9 +4,9 @@ Three pillars (wired together by :class:`repro.obs.hub.ObservabilityHub`):
 
 * :mod:`repro.obs.bus` — a structured, ring-buffered **event bus**.  The
   runner, both Tango schedulers, the HRM modules, and the failure injector
-  publish typed events (:mod:`repro.obs.events`); the kube
-  :class:`~repro.kube.events.EventRecorder` audit stream and the metric
-  registry consume them as subscribers (:mod:`repro.obs.bridges`).
+  publish typed events (:mod:`repro.obs.events`); the request tracer and
+  the metric registry (through :mod:`repro.obs.bridges`) consume them as
+  subscribers.
 * :mod:`repro.obs.tracing` — **request-lifecycle tracing**: every
   :class:`~repro.sim.request.ServiceRequest` gets a span chain
   (arrival → schedule → ship → queue → execute → complete/abandon/evict)

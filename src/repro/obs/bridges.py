@@ -1,14 +1,10 @@
-"""Bus subscribers that fold the typed event stream into sinks.
-
-* :class:`KubeEventBridge` renders events into the kubectl-style
-  :class:`EventRecorder` audit stream;
-* :class:`MetricsSubscriber` folds them into registry counters and
-  histograms.
+"""The bus subscriber that folds the typed event stream into the metric
+registry: :class:`MetricsSubscriber` turns events into counters and
+histograms.
 """
 
 from __future__ import annotations
 
-from repro.kube.events import EventRecorder, Reason
 from repro.obs.bus import EventBus
 from repro.obs.events import (
     BESqueezed,
@@ -25,110 +21,10 @@ from repro.obs.events import (
     RequestCompleted,
     RequestDropped,
     RequestEvicted,
-    RequestScheduled,
 )
 from repro.obs.metrics import MetricRegistry
 
-__all__ = ["KubeEventBridge", "MetricsSubscriber"]
-
-
-class KubeEventBridge:
-    """Renders bus events into the kubectl-style audit stream."""
-
-    def __init__(self, recorder: EventRecorder, bus: EventBus) -> None:
-        self.recorder = recorder
-        bus.subscribe_many(
-            {
-                RequestScheduled: self._on_scheduled,
-                RequestEvicted: self._on_evicted,
-                RequestAbandoned: self._on_abandoned,
-                NodeCrashed: self._on_crashed,
-                NodeRecovered: self._on_recovered,
-                PartitionStarted: self._on_partition,
-                PartitionHealed: self._on_heal,
-                DVPAResized: self._on_dvpa,
-                BESqueezed: self._on_squeeze,
-                ReassuranceTransition: self._on_reassurance,
-            }
-        )
-
-    def _on_scheduled(self, ev: RequestScheduled) -> None:
-        self.recorder.emit(
-            ev.time_ms,
-            Reason.SCHEDULED,
-            f"req/{ev.request_id}",
-            f"{ev.service} -> {ev.node}",
-        )
-
-    def _on_evicted(self, ev: RequestEvicted) -> None:
-        self.recorder.emit(
-            ev.time_ms,
-            Reason.EVICTED,
-            f"req/{ev.request_id}",
-            f"{ev.service} preempted on {ev.node}",
-            type="Warning",
-        )
-
-    def _on_abandoned(self, ev: RequestAbandoned) -> None:
-        self.recorder.emit(
-            ev.time_ms,
-            Reason.FAILED_SCHEDULING,
-            f"req/{ev.request_id}",
-            f"{ev.service} abandoned past deadline",
-            type="Warning",
-        )
-
-    def _on_crashed(self, ev: NodeCrashed) -> None:
-        self.recorder.emit(
-            ev.time_ms, Reason.NODE_DOWN, f"node/{ev.node}", "crash",
-            type="Warning",
-        )
-
-    def _on_recovered(self, ev: NodeRecovered) -> None:
-        self.recorder.emit(
-            ev.time_ms, Reason.NODE_RECOVERED, f"node/{ev.node}", "recover",
-        )
-
-    def _on_partition(self, ev: PartitionStarted) -> None:
-        self.recorder.emit(
-            ev.time_ms,
-            Reason.PARTITIONED,
-            f"cluster/{ev.cluster_id}",
-            f"WAN partition for {ev.duration_ms:.0f} ms",
-            type="Warning",
-        )
-
-    def _on_heal(self, ev: PartitionHealed) -> None:
-        self.recorder.emit(
-            ev.time_ms,
-            Reason.PARTITION_HEALED,
-            f"cluster/{ev.cluster_id}",
-            "WAN partition healed",
-        )
-
-    def _on_dvpa(self, ev: DVPAResized) -> None:
-        self.recorder.emit(
-            ev.time_ms,
-            Reason.DVPA_RESIZED,
-            f"node/{ev.node}",
-            f"{ev.service} {ev.direction} ({ev.latency_ms:.1f} ms)",
-        )
-
-    def _on_squeeze(self, ev: BESqueezed) -> None:
-        self.recorder.emit(
-            ev.time_ms,
-            Reason.BE_SQUEEZED,
-            f"node/{ev.node}",
-            f"reclaimed {ev.freed_cpu:.2f} CPU from running BE",
-        )
-
-    def _on_reassurance(self, ev: ReassuranceTransition) -> None:
-        self.recorder.emit(
-            ev.time_ms,
-            Reason.QOS_ADJUSTED,
-            f"node/{ev.node}",
-            f"{ev.service}: {ev.previous} -> {ev.level}",
-        )
+__all__ = ["MetricsSubscriber"]
 
 
 class MetricsSubscriber:

@@ -90,7 +90,6 @@ class SimContext:
     reassurance: Any = None
     injector: Any = None
     hub: Any = None
-    sample_gauges: bool = False
     #: runtime invariant checker (None unless check_invariants is on).
     invariants: Any = None
 
@@ -422,7 +421,7 @@ class MetricsStage(Stage):
 
     def run(self, ctx: SimContext) -> None:
         period_end = ctx.now_ms + ctx.config.tick_ms
-        if ctx.collector.maybe_sample(period_end) and ctx.sample_gauges:
+        if ctx.collector.maybe_sample(period_end) and ctx.hub is not None:
             ctx.hub.sample_period(
                 period_end,
                 ctx.system,

@@ -30,7 +30,6 @@ from typing import Any, Dict, List, Optional, Sequence
 
 from repro.cluster.topology import EdgeCloudSystem
 from repro.core.state_storage import StateStorage
-from repro.kube.events import EventRecorder
 from repro.obs.emitter import BusEmitter, DirectEmitter
 from repro.obs.hub import ObservabilityHub
 from repro.sim.checkpoint import (
@@ -68,8 +67,6 @@ class RunnerConfig:
     max_be_reschedules: int = 20
     #: optional failure injection (node crashes / WAN partitions).
     failures: Optional[FailureConfig] = None
-    #: record a kubectl-get-events-style audit stream (small overhead).
-    record_events: bool = False
     #: enable the unified observability subsystem (:mod:`repro.obs`):
     #: lifecycle events on a bus, request span traces, metric registry.
     observe: bool = False
@@ -120,23 +117,17 @@ class SimulationRunner:
             self.injector = FailureInjector(system, self.config.failures)
             self.storage.node_filter = self._node_visible
         # --- observability ------------------------------------------------
-        # The hub exists when anything consumes events (tracing/metrics via
-        # ``observe``, or the kube audit stream via ``record_events``).
-        # The emitter feeds the collector directly in every mode; with a
-        # hub it also publishes each event, so the bus is a pure tee.
+        # The hub (bus, request tracer, metric registry) exists only when
+        # ``observe`` is set. The emitter feeds the collector directly in
+        # every mode; with a hub it also publishes each event, so the bus
+        # is a pure tee.
         self.hub = None
         self.bus = None
-        self.events: Optional[EventRecorder] = None
-        if self.config.observe or self.config.record_events:
+        if self.config.observe:
             self.hub = ObservabilityHub(
-                ring_capacity=self.config.obs_ring_capacity,
-                trace=self.config.observe,
-                metrics=self.config.observe,
+                ring_capacity=self.config.obs_ring_capacity
             )
             self.bus = self.hub.bus
-            if self.config.record_events:
-                self.events = EventRecorder()
-                self.hub.attach_recorder(self.events)
         self.emitter = (
             BusEmitter(self.collector, self.bus)
             if self.bus is not None
@@ -178,7 +169,6 @@ class SimulationRunner:
             injector=self.injector,
             invariants=self.invariants,
             hub=self.hub,
-            sample_gauges=self.hub is not None and self.config.observe,
         )
         self.pipeline = TickPipeline(
             build_stages(

@@ -8,15 +8,14 @@ behaviours a management framework must keep under a WAN split:
   no dispatch decision targets them while the partition is active;
 * dispatch keeps working on the remaining topology (LC still completes);
 * the heal restores visibility;
-* partition/heal events land on the observability bus and in the kube
-  audit stream.
+* partition/heal events land on the observability bus and name the
+  partitioned cluster.
 """
 
 from __future__ import annotations
 
 from repro import TangoConfig, TangoSystem
 from repro.cluster.topology import TopologyConfig
-from repro.kube.events import Reason
 from repro.obs.events import (
     PartitionHealed,
     PartitionStarted,
@@ -35,7 +34,6 @@ def partition_config(seed=3, duration_ms=4_000.0):
     return RunnerConfig(
         duration_ms=duration_ms,
         observe=True,
-        record_events=True,
         obs_ring_capacity=100_000,
         # refresh the scheduler snapshots every tick so a partition is
         # visible to the very next dispatch round (no staleness window).
@@ -123,18 +121,15 @@ class TestPartitionRun:
                     f"cluster {ev.cluster_id} at t={ev.time_ms}"
                 )
 
-    def test_events_reach_kube_audit_stream(self):
+    def test_partition_events_name_clusters(self):
         system, _ = run_partitioned()
-        runner = system.last_runner
-        recorder = runner.events
-        bus = runner.hub.bus
-        assert recorder.count(Reason.PARTITIONED) == bus.count(PartitionStarted)
-        assert recorder.count(Reason.PARTITION_HEALED) == bus.count(
-            PartitionHealed
-        )
-        entry = recorder.events(Reason.PARTITIONED)[0]
-        assert entry.type == "Warning"
-        assert entry.involved.startswith("cluster/")
+        bus = system.last_runner.hub.bus
+        starts = bus.events(PartitionStarted)
+        assert starts
+        for ev in starts:
+            assert 0 <= ev.cluster_id < CLUSTERS
+            assert ev.duration_ms > 0
+        assert bus.count(PartitionHealed) > 0
 
     def test_bus_matches_injector_event_log(self):
         system, _ = run_partitioned()

@@ -1,7 +1,6 @@
 """Unit and property tests for the ResourceVector model."""
 
 import dataclasses
-import math
 import pickle
 
 import pytest
@@ -126,18 +125,3 @@ class TestPredicates:
         assert ZERO.is_zero()
         assert not ResourceVector(cpu=0.1).is_zero()
         assert not ResourceVector(memory=0.1).is_zero()
-
-
-class TestSummaries:
-    def test_dominant_share_picks_max_dimension(self):
-        demand = ResourceVector(cpu=2, memory=1024)
-        cap = ResourceVector(cpu=4, memory=8192)
-        assert demand.dominant_share(cap) == pytest.approx(0.5)
-        assert ResourceVector(cpu=1, memory=6144).dominant_share(
-            cap
-        ) == pytest.approx(0.75)
-
-    def test_dominant_share_infinite_when_capacity_missing(self):
-        demand = ResourceVector(cpu=1)
-        cap = ResourceVector(memory=100)
-        assert math.isinf(demand.dominant_share(cap))
