@@ -23,6 +23,7 @@ as the target and ``R − V(s)`` as the advantage.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from pathlib import Path
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -211,9 +212,10 @@ class A2CAgent:
         # Critic: minimise value_coef * (ret - V)^2.
         value_grad = np.array([[2.0 * self.cfg.value_coef * (value - ret) * weight]])
         grad_pooled = self.critic.backward(value_grad)
-        grad_h_critic = np.repeat(grad_pooled / n, n, axis=0)
+        # the mean pool spreads its gradient evenly over the n rows
+        grad_h_actor += grad_pooled / n
 
-        self.encoder.backward(grad_h_actor + grad_h_critic)
+        self.encoder.backward(grad_h_actor)
         logp = np.log(max(probs[transition.action], 1e-300))
         return float(-logp * advantage * weight)
 
@@ -230,9 +232,10 @@ class A2CAgent:
     # ------------------------------------------------------------------ #
     # persistence
     # ------------------------------------------------------------------ #
-    def save(self, path) -> None:
-        """Checkpoint encoder + actor + critic parameters to ``path``."""
-        save_params(self.optimizer.params, path)
+    def save(self, path) -> Path:
+        """Checkpoint encoder + actor + critic parameters to ``path``;
+        returns the ``.npz`` path written."""
+        return save_params(self.optimizer.params, path)
 
     def load(self, path) -> None:
         """Restore a checkpoint written by :meth:`save` (same shapes)."""

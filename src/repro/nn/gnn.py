@@ -20,7 +20,8 @@ linear algebra:
   with its weights, applied as a gather-and-weigh forward and a scatter-add
   backward, so one layer costs O(n·p·F) and memory never grows as n².
 * **GCN** — symmetric normalisation ``D^-1/2 (A+I) D^-1/2`` over the full
-  neighbourhood (transductive; no sampling), as a dense matrix.
+  neighbourhood (transductive; no sampling), as a dense matrix built once
+  per topology.
 * **GAT** — attention coefficients ``softmax_j(leaky_relu(a^T [Wh_i || Wh_j]))``
   computed per forward pass, as a dense matrix.  Gradients flow through the
   value path only; the attention coefficients themselves are treated as
@@ -145,16 +146,17 @@ class GraphEncoder(Layer):
         for layer, (w, b) in enumerate(zip(self.weights, self.biases)):
             op = self.aggregation_operator(adj, h, layer)
             agg = self._aggregate(op, h)
-            z = agg @ w + b
+            z = agg @ w
+            z += b
             if self.separate_self:
-                z = z + h @ self.self_weights[layer]
+                z += h @ self.self_weights[layer]
                 self._selves.append(h)
             mask = z > 0.0
-            new_h = z * mask
+            np.multiply(z, mask, out=z)
             self._ops.append(op)
             self._inputs.append(agg)
             self._masks.append(mask)
-            h = new_h
+            h = z
         return h
 
     def forward(self, x: np.ndarray) -> np.ndarray:  # pragma: no cover
@@ -163,12 +165,14 @@ class GraphEncoder(Layer):
     def backward(self, grad: np.ndarray) -> None:
         """Backprop through all hops; accumulates into ``self.grads``.
 
-        Stops at layer 0: the input features take no gradient, so nothing
-        is propagated past the first layer and nothing is returned.
+        Consumes ``grad``: the ReLU mask is applied to it in place, so pass
+        a copy if the caller still needs it.  Stops at layer 0: the input
+        features take no gradient, so nothing is propagated past the first
+        layer and nothing is returned.
         """
         stride = self._stride()
         for layer in range(len(self.weights) - 1, -1, -1):
-            grad = grad * self._masks[layer]
+            grad *= self._masks[layer]
             self.grads[stride * layer] += self._inputs[layer].T @ grad
             self.grads[stride * layer + 1] += grad.sum(axis=0)
             if self.separate_self:
@@ -179,7 +183,7 @@ class GraphEncoder(Layer):
                 self._ops[layer], grad @ self.weights[layer].T
             )
             if self.separate_self:
-                grad_h = grad_h + grad @ self.self_weights[layer].T
+                grad_h += grad @ self.self_weights[layer].T
             grad = grad_h
 
 
@@ -311,17 +315,22 @@ class GraphSAGEEncoder(GraphEncoder):
 class GCNEncoder(GraphEncoder):
     """Kipf-Welling GCN: ``D^-1/2 (A+I) D^-1/2`` aggregation, no sampling."""
 
+    #: ``(adj, operator)`` of the last graph encoded, checked by identity
+    #: like ``GraphSAGEEncoder._plan``: the operator depends on ``adj`` only.
+    _operator: Optional[tuple] = None
+
     def aggregation_operator(
         self, adj: List[List[int]], h: np.ndarray, layer: int
     ) -> np.ndarray:
-        n = len(adj)
-        a = np.eye(n)
-        for i in range(n):
-            for j in adj[i]:
-                a[i, j] = 1.0
-        deg = a.sum(axis=1)
-        d_inv_sqrt = 1.0 / np.sqrt(np.maximum(deg, 1e-12))
-        return a * d_inv_sqrt[:, None] * d_inv_sqrt[None, :]
+        if self._operator is None or self._operator[0] is not adj:
+            a = np.eye(len(adj))
+            for i, neigh in enumerate(adj):
+                a[i, neigh] = 1.0
+            deg = a.sum(axis=1)
+            d_inv_sqrt = 1.0 / np.sqrt(np.maximum(deg, 1e-12))
+            op = a * d_inv_sqrt[:, None] * d_inv_sqrt[None, :]
+            self._operator = (adj, op)
+        return self._operator[1]
 
 
 class GATEncoder(GraphEncoder):

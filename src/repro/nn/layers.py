@@ -7,8 +7,17 @@ deterministically.  Every layer exposes ``forward(x)`` and ``backward(grad)``,
 caches what it needs between the two calls, and accumulates parameter
 gradients in ``.grads`` aligned with ``.params`` for the optimizer.
 
-Shapes are ``(batch, features)`` throughout; float64 is used for numerical
-reproducibility (these nets are far too small for that to matter for speed).
+Shapes are ``(batch, features)`` throughout, in float64.  That is not free:
+on a 2-vCPU host with single-threaded OpenBLAS, a float32 build of these
+nets ran the standard perfbench workload at 86-91 ticks/s against 63-69.  It stays float64 because
+float32 changed DCG-BE's decisions enough to reverse a paper result (the
+Fig. 12 DSS-LC x DCG-BE throughput cell fell from 633 to 595 while
+K8s-native x DCG-BE rose from 609 to 671) and raised ``failed_frac`` on the
+standard and churn workloads; the fingerprints pin the float64 behaviour.
+
+Elementwise steps write into arrays the pass itself just allocated (see
+:class:`ReLU`) instead of new temporaries, doing the same operations in the
+same order, so results are bit-identical to the out-of-place form.
 """
 
 from __future__ import annotations
@@ -70,7 +79,9 @@ class Dense(Layer):
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         self._x = x
-        return x @ self.W + self.b
+        y = x @ self.W
+        y += self.b
+        return y
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         assert self._x is not None, "backward before forward"
@@ -80,17 +91,24 @@ class Dense(Layer):
 
 
 class ReLU(Layer):
+    """``max(x, 0)``, written into ``x``; ``backward`` writes into ``grad``.
+
+    Both passes overwrite their argument instead of allocating: in
+    :func:`mlp` each one receives the fresh output of the ``Dense`` beside
+    it, which nothing else holds.  Pass a copy to keep an input intact.
+    """
+
     def __init__(self) -> None:
         super().__init__()
         self._mask: Optional[np.ndarray] = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         self._mask = x > 0.0
-        return x * self._mask
+        return np.multiply(x, self._mask, out=x)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         assert self._mask is not None
-        return grad * self._mask
+        return np.multiply(grad, self._mask, out=grad)
 
 
 class Tanh(Layer):

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
+from pathlib import Path
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -218,9 +219,10 @@ class SACAgent:
     # ------------------------------------------------------------------ #
     # persistence
     # ------------------------------------------------------------------ #
-    def save(self, path) -> None:
-        """Checkpoint all live networks (targets are rebuilt on load)."""
-        save_params(self.optimizer.params, path)
+    def save(self, path) -> Path:
+        """Checkpoint all live networks (targets are rebuilt on load);
+        returns the ``.npz`` path written."""
+        return save_params(self.optimizer.params, path)
 
     def load(self, path) -> None:
         load_params(self.optimizer.params, path)

@@ -62,6 +62,18 @@ class TestActing:
         )  # smoke: value() runs
         assert isinstance(int(np.argmax(probs)), int)
 
+    def test_act_and_train_leave_inputs_unchanged(self, rng):
+        agent = tiny_agent(rng)
+        feats = rng.normal(size=(6, 4))
+        mask = np.array([1, 0, 1, 1, 0, 1], dtype=bool)
+        adj = ring(6)
+        before = (feats.copy(), mask.copy(), copy.deepcopy(adj))
+        action = agent.act(feats, adj, mask)
+        agent.train_on([Transition(feats, adj, mask, action, 1.0)])
+        np.testing.assert_array_equal(feats, before[0])
+        np.testing.assert_array_equal(mask, before[1])
+        assert adj == before[2]
+
 
 class TestLearning:
     def test_record_triggers_training_at_interval(self, rng):
@@ -196,7 +208,8 @@ class TestPersistence:
         agent = tiny_agent(rng)
         feats = rng.normal(size=(4, 4))
         probs_before = agent.action_probs(feats, ring(4))
-        path = agent.save(tmp_path / "ckpt") or (tmp_path / "ckpt.npz")
+        path = agent.save(tmp_path / "ckpt")
+        assert path == tmp_path / "ckpt.npz" and path.exists()
         clone = tiny_agent(np.random.default_rng(999))
         clone.load(tmp_path / "ckpt")
         # identical parameters → identical policy (IdentityEncoder-free

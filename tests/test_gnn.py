@@ -163,7 +163,7 @@ class TestGraphSAGE:
         g = rng.normal(size=(n, 4))
         enc.zero_grad()
         h = enc.encode(x, MIXED_ADJ)
-        enc.backward(g)
+        enc.backward(g.copy())  # backward consumes its grad
         ref = copy.deepcopy(enc)
         dense_ops = iter([densify(op) for op in enc._ops])
         ref.aggregation_operator = lambda adj, h, layer: next(dense_ops)
@@ -268,6 +268,19 @@ class TestGCN:
         h = enc.encode(rng.normal(size=(6, 5)), line_graph(6))
         assert h.shape == (6, 8)
 
+    def test_alternating_topologies_match_fresh_encoders(self):
+        """The operator held for one graph is never used for another: A, B,
+        A, A through one encoder equals a fresh encoder per call.  Both
+        graphs have 6 nodes, so a stale operator would not fail on shape."""
+        a = line_graph(6)
+        b = clique_of_cliques(2, 3)
+        enc = GCNEncoder(4, [6, 6], np.random.default_rng(3))
+        for adj in (a, b, a, a):
+            fresh = GCNEncoder(4, [6, 6], np.random.default_rng(3))
+            x = np.random.default_rng(7).normal(size=(len(adj), 4))
+            np.testing.assert_array_equal(enc.encode(x, adj), fresh.encode(x, adj))
+            assert enc._operator[0] is adj
+
 
 class TestGAT:
     def test_attention_rows_sum_to_one(self, rng):
@@ -308,6 +321,17 @@ class TestIdentity:
         h_i = ident.encode(x, line_graph(4))
         h_s = sage.encode(x, line_graph(4))
         assert not np.allclose(h_i, h_s)
+
+
+@pytest.mark.parametrize(
+    "cls", [GraphSAGEEncoder, GCNEncoder, GATEncoder, IdentityEncoder]
+)
+def test_encode_leaves_features_unchanged(cls, rng):
+    enc = cls(4, [6, 6], rng)
+    x = rng.normal(size=(len(MIXED_ADJ), 4))
+    before = x.copy()
+    enc.encode(x, MIXED_ADJ)
+    np.testing.assert_array_equal(x, before)
 
 
 class TestGradientChecks:

@@ -122,6 +122,17 @@ class TestSequential:
             num = numerical_grad(loss, p)
             assert np.allclose(g, num, atol=1e-4), "parameter gradient mismatch"
 
+    def test_leaves_input_and_upstream_grad_unchanged(self, rng):
+        """ReLU works in place, but only on arrays the net itself made."""
+        net = mlp([3, 8, 4, 2], rng)
+        x = rng.normal(size=(5, 3))
+        grad = rng.normal(size=(5, 2))
+        x_before, grad_before = x.copy(), grad.copy()
+        net.forward(x)
+        net.backward(grad)
+        np.testing.assert_array_equal(x, x_before)
+        np.testing.assert_array_equal(grad, grad_before)
+
     def test_params_and_grads_aligned(self, rng):
         net = mlp([3, 8, 1], rng)
         assert len(net.params) == len(net.grads)

@@ -132,7 +132,7 @@ class TestSACPersistence:
 
         cfg = SACConfig(hidden=(8,), encoder_hidden=(8,))
         agent = SACAgent(4, rng, config=cfg)
-        agent.save(tmp_path / "sac")
+        assert agent.save(tmp_path / "sac") == tmp_path / "sac.npz"
         clone = SACAgent(4, np.random.default_rng(123), config=cfg)
         clone.load(tmp_path / "sac")
         for p1, p2 in zip(agent.optimizer.params, clone.optimizer.params):
