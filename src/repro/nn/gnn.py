@@ -152,7 +152,7 @@ class GraphEncoder(Layer):
                 z += h @ self.self_weights[layer]
                 self._selves.append(h)
             mask = z > 0.0
-            np.multiply(z, mask, out=z)
+            z *= mask
             self._ops.append(op)
             self._inputs.append(agg)
             self._masks.append(mask)

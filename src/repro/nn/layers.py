@@ -9,11 +9,12 @@ gradients in ``.grads`` aligned with ``.params`` for the optimizer.
 
 Shapes are ``(batch, features)`` throughout, in float64.  That is not free:
 on a 2-vCPU host with single-threaded OpenBLAS, a float32 build of these
-nets ran the standard perfbench workload at 86-91 ticks/s against 63-69.  It stays float64 because
-float32 changed DCG-BE's decisions enough to reverse a paper result (the
-Fig. 12 DSS-LC x DCG-BE throughput cell fell from 633 to 595 while
-K8s-native x DCG-BE rose from 609 to 671) and raised ``failed_frac`` on the
-standard and churn workloads; the fingerprints pin the float64 behaviour.
+nets ran the standard perfbench workload at 86-91 ticks/s against 63-69.
+It stays float64 because float32 changed DCG-BE's decisions enough to
+reverse a paper result (the Fig. 12 DSS-LC x DCG-BE throughput cell fell
+from 633 to 595 while K8s-native x DCG-BE rose from 609 to 671) and raised
+``failed_frac`` on the standard and churn workloads; the fingerprints pin
+the float64 behaviour.
 
 Elementwise steps write into arrays the pass itself just allocated (see
 :class:`ReLU`) instead of new temporaries, doing the same operations in the
